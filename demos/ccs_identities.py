@@ -34,22 +34,23 @@ spec = HamiltonianSpec(
 h = assemble(spec)
 spectra = full_spectrum(spec)
 pairs = [p for bs in spectra for p in bs.pairs]
+vecs = [p.embedded(spec.dimension) for p in pairs]
 
 print("H =")
 print(h)
 print("non-Hermitian:", max_abs(h - h.conj().T) > 1e-12)
 
 print("\nbilinear Gram matrix (should be the identity):")
-gram = np.array([[ccs_inner(a.vector, b.vector) for b in pairs] for a in pairs])
+gram = np.array([[ccs_inner(u, v) for v in vecs] for u in vecs])
 print(gram.round(12))
 
 print("\nconjugating Gram matrix of the same vectors (NOT the identity):")
-herm = np.array([[np.vdot(a.vector, b.vector) for b in pairs] for a in pairs])
+herm = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
 print(herm.round(6))
 
 print("\nenergy expectations <psi*|H|psi> vs eigenvalues:")
-for pair in pairs:
-    e = ccs_expectation(pair.vector, h, pair.vector)
+for pair, vec in zip(pairs, vecs):
+    e = ccs_expectation(vec, h, vec)
     print(f"  pairing {e.real:+.8f}{e.imag:+.1e}j   eigenvalue {pair.value.real:+.8f}")
 
 print("\nspectral reconstruction sum_n E_n |psi_n><psi_n*|:")

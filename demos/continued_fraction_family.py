@@ -43,7 +43,8 @@ for depth in range(1, 12):
     for bs in spectra:
         for pair in bs.pairs:
             predicted = cfrac_scalar(float(pair.sign_index), beta, depth)
-            worst = max(worst, float(np.max(np.abs(f_matrix @ pair.vector - predicted * pair.vector))))
+            vec = pair.embedded(spec.dimension)
+            worst = max(worst, float(np.max(np.abs(f_matrix @ vec - predicted * vec))))
     print(
         f"{depth:5d} {cfrac_scalar(1.0, beta, depth):12.8f} {cfrac_scalar(-1.0, beta, depth):12.8f} "
         f"{commutator_norm(h, f_matrix):12.2e} {commutator_norm(c, f_matrix):12.2e}   {worst:.2e}"

@@ -6,7 +6,15 @@ levels.  The package computes their closed-form spectra, the bilinear
 operators, and verifies every symmetry identity numerically.
 """
 
-from .ccs import CCSBra, ccs_expectation, ccs_inner, completeness, outer, reconstruct
+from .ccs import (
+    CCSBra,
+    bilinear_gram,
+    ccs_expectation,
+    ccs_inner,
+    completeness,
+    outer,
+    reconstruct,
+)
 from .linalg import (
     SingularMatrixError,
     conj_mat,
@@ -73,6 +81,7 @@ __all__ = [
     "SingularMatrixError",
     "antilinear_commutator_norm",
     "assemble",
+    "bilinear_gram",
     "block_offsets",
     "build_C",
     "build_P",

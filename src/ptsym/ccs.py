@@ -13,6 +13,11 @@ orthonormality, energy expectation, spectral reconstruction, completeness.
 Self-orthogonal vectors such as (1, i) exist in this geometry, which is why
 broken-phase blocks (whose coalescing eigenvectors are exactly of that
 kind) are refused rather than paired.
+
+Eigenpairs carry only their block's entries plus an offset (see
+:class:`~ptsym.spectra.EigenPair`).  The N x N sums below are therefore
+formed block by block: each pair's w x w outer product lands on its own
+diagonal block, and entries between blocks are zero by construction.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "ccs_inner",
     "ccs_expectation",
     "outer",
+    "bilinear_gram",
     "reconstruct",
     "completeness",
 ]
@@ -73,36 +79,69 @@ def outer(u, v) -> np.ndarray:
 
 
 def _check_unbroken(spectra: list[BlockSpectrum], what: str) -> int:
-    """Validate phases and a consistent embedding dimension; return it."""
-    dims = set()
+    """Validate phases and that the blocks' offsets tile [0, N); return N."""
+    spans = []
     for bs in spectra:
         if bs.phase is not Phase.UNBROKEN:
             raise NotUnbrokenError(
                 f"{what} needs all-unbroken spectra; block {bs.block_id} "
                 f"is {bs.phase.value}"
             )
+        spans.extend({(pair.offset, pair.vector.shape[0]) for pair in bs.pairs})
+    n = 0
+    for start, width in sorted(spans):
+        if start != n:
+            raise ValueError(
+                f"eigenpair offsets do not tile [0, N): a block starts at {start}, "
+                f"expected {n}"
+            )
+        n += width
+    return n
+
+
+def _blockwise_sum(spectra, what: str, term) -> np.ndarray:
+    """The N x N sum over eigenpairs of ``term(pair)``, a w x w matrix on the
+    pair's own block ``[offset, offset + w)``.
+
+    Each term is the nonzero part of a rank-1 outer product of a full
+    eigenvector, so entries between different blocks are zero by
+    construction and are never summed.
+    """
+    spectra = list(spectra)
+    n = _check_unbroken(spectra, what)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for bs in spectra:
         for pair in bs.pairs:
-            dims.add(pair.vector.shape[0])
-    if len(dims) != 1:
-        raise ValueError(f"eigenvectors have inconsistent dimensions: {sorted(dims)}")
-    return dims.pop()
+            o, w = pair.offset, pair.vector.shape[0]
+            out[o : o + w, o : o + w] += term(pair)
+    return out
+
+
+def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
+    """Pairings ``ccs_inner(psi_m, psi_n)`` of all eigenpairs, in spectrum order.
+
+    Eigenvectors of different blocks have disjoint supports, so only the
+    pairings within each block are computed; the rest are zero.
+    """
+    spectra = list(spectra)
+    n = _check_unbroken(spectra, "bilinear_gram")
+    out = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for bs in spectra:
+        for i, a in enumerate(bs.pairs):
+            for j, b in enumerate(bs.pairs):
+                out[at + i, at + j] = ccs_inner(a.vector, b.vector)
+        at += len(bs.pairs)
+    return out
 
 
 def reconstruct(spectra: list[BlockSpectrum]) -> np.ndarray:
     """Spectral sum  sum_n E_n |psi_n><psi_n*|  (equals the Hamiltonian)."""
-    n = _check_unbroken(spectra, "reconstruct")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            out += pair.value * outer(pair.vector, pair.vector)
-    return out
+    return _blockwise_sum(
+        spectra, "reconstruct", lambda p: p.value * outer(p.vector, p.vector)
+    )
 
 
 def completeness(spectra: list[BlockSpectrum]) -> np.ndarray:
     """Resolution of the identity  sum_n |psi_n><psi_n*|."""
-    n = _check_unbroken(spectra, "completeness")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            out += outer(pair.vector, pair.vector)
-    return out
+    return _blockwise_sum(spectra, "completeness", lambda p: outer(p.vector, p.vector))

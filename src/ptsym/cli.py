@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccs import ccs_inner, completeness, reconstruct
+from .ccs import bilinear_gram, completeness, reconstruct
 from .linalg import SingularMatrixError, max_abs
 from .model import HamiltonianSpec, PTBlock, RealLevel, assemble, dimension
 from .spectra import NotUnbrokenError, Phase, full_spectrum
@@ -73,7 +73,10 @@ class RunConfig:
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValidationError(f"{path}: too large for a float") from None
     if not math.isfinite(value):
         raise ValidationError(f"{path}: must be finite, got {value!r}")
     return value
@@ -134,6 +137,10 @@ def _fmt_complex(z: complex) -> str:
     return f"({float(z.real)!r},{float(z.imag)!r})"
 
 
+# An eigenvector entry outside its own block.
+_ZERO = _fmt_complex(0j)
+
+
 def _dump_matrix(out, name: str, m: np.ndarray) -> None:
     print(f"MATRIX {name} {m.shape[0]} {m.shape[1]}", file=out)
     for row in m:
@@ -168,7 +175,12 @@ def _cmd_spectrum(cfg: RunConfig, args, out, err) -> int:
         if args.vectors:
             for pair in bs.pairs:
                 sign = "+" if pair.sign_index > 0 else "-"
-                entries = "\t".join(_fmt_complex(z) for z in pair.vector)
+                after = n - pair.offset - pair.vector.shape[0]
+                entries = "\t".join(
+                    [_ZERO] * pair.offset
+                    + [_fmt_complex(z) for z in pair.vector]
+                    + [_ZERO] * after
+                )
                 print(f"VECTOR {bs.block_id}{sign}\t{entries}", file=out)
     return 0
 
@@ -198,7 +210,7 @@ def _cmd_verify(cfg: RunConfig, args, out, err) -> int:
     eye = np.eye(n)
     n_levels = sum(isinstance(b, RealLevel) for b in spec.blocks)
 
-    gram = np.array([[ccs_inner(a.vector, b.vector) for b in pairs] for a in pairs])
+    gram = bilinear_gram(spectra)
     expectations = c_expectations(spectra, ops.C)
 
     ok = True
@@ -296,8 +308,11 @@ def main(argv=None) -> int:
         print(f"ptsym: config error: {exc}", file=err)
         return 2
     if args.tol is not None:
-        if args.tol <= 0:
-            print(f"ptsym: config error: --tol must be > 0, got {args.tol}", file=err)
+        if not math.isfinite(args.tol) or args.tol <= 0:
+            print(
+                f"ptsym: config error: --tol must be finite and > 0, got {args.tol}",
+                file=err,
+            )
             return 2
         cfg = RunConfig(spec=cfg.spec, beta=cfg.beta, cfrac_depth=cfg.cfrac_depth, tol=args.tol)
 

@@ -32,7 +32,6 @@ from .model import (
     PTBlock,
     RealLevel,
     block_offsets,
-    dimension,
 )
 
 __all__ = [
@@ -77,13 +76,17 @@ class EigenPair:
 
     ``sign_index`` is +1 for the upper branch (and for levels), -1 for the
     lower branch; it is the eigenvalue of the C operator on this state.
-    ``vector`` is stored read-only.
+    ``vector`` holds only the block's own entries (length 2 for a block,
+    1 for a level), stored read-only; ``offset`` is the index in [0, N) of
+    its first entry.  Every other entry of the full eigenvector is zero, so
+    :meth:`embedded` recovers it.
     """
 
     value: complex
     vector: np.ndarray
     sign_index: int
     block_id: int
+    offset: int = 0
 
     def __post_init__(self):
         vec = np.array(self.vector, dtype=np.complex128)
@@ -97,10 +100,16 @@ class EigenPair:
         """Row of the bilinear bra: the plain transpose, no conjugation."""
         return self.vector
 
+    def embedded(self, n: int) -> np.ndarray:
+        """The full length-``n`` eigenvector: ``vector`` at ``offset``, zeros elsewhere."""
+        out = np.zeros(n, dtype=np.complex128)
+        out[self.offset : self.offset + self.vector.shape[0]] = self.vector
+        return out
+
 
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Eigen-data of one block, possibly embedded in the full dimension.
+    """Eigen-data of one block.
 
     ``pairs`` is populated only in the unbroken phase; ``values`` always
     carries the eigenvalues (a conjugate pair in the broken phase, a
@@ -183,40 +192,34 @@ def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
     return upper, upper.conjugate()
 
 
-def _embed(vec: np.ndarray, start: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.complex128)
-    out[start : start + vec.shape[0]] = vec
-    return out
-
-
 def full_spectrum(
     spec: HamiltonianSpec, allow_broken: bool = False
 ) -> list[BlockSpectrum]:
-    """Per-block spectra with eigenvectors embedded in the full dimension N.
+    """Per-block spectra, each eigenpair tagged with its block's offset.
 
-    A real level contributes an unbroken one-member spectrum: eigenvalue
-    ``a``, the standard basis vector at its offset, sign +1.
+    Eigenvectors keep only their block's entries; ``pair.offset`` places
+    them in the full dimension N (see :meth:`EigenPair.embedded`).  A real
+    level contributes an unbroken one-member spectrum: eigenvalue ``a``,
+    the local vector ``[1]`` at its offset, sign +1.
 
     With ``allow_broken=True`` non-unbroken blocks are reported
     eigenvalues-only (empty ``pairs``); otherwise they raise
     :class:`NotUnbrokenError` naming the offending block.
     """
-    n = dimension(spec)
     out: list[BlockSpectrum] = []
     for block_id, (block, (start, _width)) in enumerate(
         zip(spec.blocks, block_offsets(spec))
     ):
         if isinstance(block, RealLevel):
-            vec = _embed(np.ones(1, dtype=np.complex128), start, n)
             value = complex(block.a)
-            pair = EigenPair(value, vec, +1, block_id)
+            pair = EigenPair(value, np.ones(1), +1, block_id, start)
             out.append(BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,)))
             continue
         phase = classify(block)
         if phase is Phase.UNBROKEN:
             local = eigen_block(block, block_id)
             pairs = tuple(
-                EigenPair(p.value, _embed(p.vector, start, n), p.sign_index, block_id)
+                EigenPair(p.value, p.vector, p.sign_index, block_id, start)
                 for p in local.pairs
             )
             out.append(BlockSpectrum(block_id, phase, local.phi, pairs, local.values))

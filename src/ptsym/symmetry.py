@@ -10,7 +10,9 @@ and every real level contributes +1 on the diagonal.  Parity is recovered
 from C through the *Hermitian* Gram matrix G = sum_n |psi_n><psi_n| of the
 eigenvectors as P = G^{-1} C, which collapses to the block-exchange matrix
 (an anti-diagonal swap per 2x2 block, +1 per level).  Time reversal is the
-antilinear map T = I K with K entrywise conjugation.
+antilinear map T = I K with K entrywise conjugation.  C and G are summed
+block by block from the block-local eigenpairs, like the sums in
+:mod:`ptsym.ccs`.
 
 On top of the operators this module provides the commutation residuals
 ([H, C], antilinear [H, P K], the full C-P-T conjugation identity) and the
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccs import _check_unbroken, ccs_expectation, outer
+from .ccs import _blockwise_sum, ccs_expectation, outer
 from .linalg import SingularMatrixError, as_cmatrix, frob_norm, max_abs, mat_inverse
 from .model import HamiltonianSpec, block_offsets, dimension
 from .spectra import BlockSpectrum
@@ -102,12 +104,9 @@ class CFracConfig:
 
 def build_C(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
     """Signed spectral sum  sum_n sign_n |psi_n><psi_n*|  (involutory)."""
-    n = _check_unbroken(list(spectra), "build_C")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            out += pair.sign_index * outer(pair.vector, pair.vector)
-    return out
+    return _blockwise_sum(
+        spectra, "build_C", lambda p: p.sign_index * outer(p.vector, p.vector)
+    )
 
 
 def build_P(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
@@ -118,11 +117,9 @@ def build_P(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
     block-exchange matrix.
     """
     spectra = list(spectra)
-    n = _check_unbroken(spectra, "build_P")
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            gram += np.outer(pair.vector, np.conj(pair.vector))
+    gram = _blockwise_sum(
+        spectra, "build_P", lambda p: np.outer(p.vector, np.conj(p.vector))
+    )
     return mat_inverse(gram) @ build_C(spectra)
 
 
@@ -199,15 +196,19 @@ def c_expectations(
 ) -> list[tuple[str, complex]]:
     """Bilinear diagonal elements <psi_n*| C |psi_n>, labelled per pair.
 
-    Each comes out equal to the pair's sign index (+1 or -1).  Labels are
-    ``block<id>+`` / ``block<id>-``.
+    Each pair's local vector meets only C's diagonal block at its offset;
+    the rest of the full eigenvector is zero.  Each element comes out equal
+    to the pair's sign index (+1 or -1).  Labels are ``block<id>+`` /
+    ``block<id>-``.
     """
     c_matrix = as_cmatrix(c_matrix)
     out = []
     for bs in spectra:
         for pair in bs.pairs:
             label = f"block{bs.block_id}{'+' if pair.sign_index > 0 else '-'}"
-            out.append((label, ccs_expectation(pair.vector, c_matrix, pair.vector)))
+            o, w = pair.offset, pair.vector.shape[0]
+            block = c_matrix[o : o + w, o : o + w]
+            out.append((label, ccs_expectation(pair.vector, block, pair.vector)))
     return out
 
 

@@ -80,9 +80,9 @@ def test_criterion_02_orthonormality_and_completeness():
     for _ in range(200):
         spec = random_unbroken_spec(rng, max_pt=10, max_levels=5)
         spectra = full_spectrum(spec)
-        vecs = [p.vector for p in all_pairs(spectra)]
-        gram = np.array([[ccs_inner(u, v) for v in vecs] for u in vecs])
         n = spec.dimension
+        vecs = [p.embedded(n) for p in all_pairs(spectra)]
+        gram = np.array([[ccs_inner(u, v) for v in vecs] for u in vecs])
         worst = max(worst, max_abs(gram - np.eye(len(vecs))))
         worst = max(worst, max_abs(completeness(spectra) - np.eye(n)))
     report(2, "bilinear orthonormality + completeness", worst < 1e-12, f"max dev {worst:.2e}")
@@ -200,7 +200,8 @@ def test_criterion_09_continued_fraction_family():
         worst = max(worst, commutator_norm(c, f))
         for pair in all_pairs(spectra):
             expected = scalar_cfrac_oracle(float(pair.sign_index), 2.0, depth)
-            residual = f @ pair.vector - expected * pair.vector
+            vec = pair.embedded(spec.dimension)
+            residual = f @ vec - expected * vec
             worst = max(worst, float(np.max(np.abs(residual))))
     with pytest.raises(SingularMatrixError):
         cfrac_F(c, CFracConfig(beta=1.0, depth=1))

@@ -105,8 +105,8 @@ def test_energy_expectations():
 def test_level_expectation():
     spec = HamiltonianSpec([GENERIC_BLOCK, RealLevel(a=0.35)])
     h = assemble(spec)
-    level_pair = full_spectrum(spec)[1].pairs[0]
-    assert abs(ccs_expectation(level_pair.vector, h, level_pair.vector) - 0.35) < 1e-15
+    level_vec = full_spectrum(spec)[1].pairs[0].embedded(spec.dimension)
+    assert abs(ccs_expectation(level_vec, h, level_vec) - 0.35) < 1e-15
 
 
 # ------------------------------------------------------------------ outer

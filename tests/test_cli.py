@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import ptsym
 from ptsym import HamiltonianSpec, PTBlock, RealLevel, assemble, max_abs
 from ptsym.cli import ParseError, RunConfig, ValidationError, main, parse_config
 
@@ -151,6 +153,10 @@ def test_spectrum_vectors_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "spectrum", path, "--vectors")
     assert code == 0
     assert out.count("VECTOR") == 5  # two pairs per block, one per level
+    rows = [line.split("\t")[1:] for line in out.splitlines() if line.startswith("VECTOR")]
+    assert all(len(row) == 5 for row in rows)
+    # entries outside the pair's own block print as zeros
+    assert rows[-1] == ["(0.0,0.0)"] * 4 + ["(1.0,0.0)"]
     code, out, _ = run_cli(capsys, "spectrum", path)
     assert "VECTOR" not in out
 
@@ -263,6 +269,29 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "verify", path, "--tol", "-1.0")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"blocks": [{"kind": "level", "a": 10**400}]}, "blocks[0].a"),
+        ({"blocks": [{"kind": "level", "a": 1.0}], "beta": -(10**400)}, "beta"),
+    ],
+)
+def test_number_too_large_for_a_float_exits_2(tmp_path, capsys, doc, field):
+    code, out, err = run_cli(capsys, "spectrum", write_config(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ptsym: config error: {field}: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_tol_flag_exits_2(tmp_path, capsys, value):
+    path = write_config(tmp_path, UNBROKEN_DOC)
+    code, out, err = run_cli(capsys, "verify", path, f"--tol={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptsym: config error: --tol")
+
+
 # ------------------------------------------------------------------- cfrac
 
 
@@ -293,10 +322,15 @@ def test_cfrac_pole_exits_1(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path, UNBROKEN_DOC)
+    # the child imports the same ptsym as this process, installed or not
+    src = os.path.dirname(os.path.dirname(ptsym.__file__))
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
     proc = subprocess.run(
         [sys.executable, "-m", "ptsym", "verify", path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 10

@@ -192,7 +192,7 @@ def test_full_spectrum_block_plus_level():
     assert spectra[1].phase is Phase.UNBROKEN
     assert spectra[1].phi == 0.0
     assert spectra[1].pairs[0].sign_index == 1
-    assert np.array_equal(spectra[1].pairs[0].vector, [0, 0, 1])
+    assert np.array_equal(spectra[1].pairs[0].embedded(3), [0, 0, 1])
 
 
 def test_full_spectrum_two_blocks():
@@ -229,7 +229,8 @@ def test_full_spectrum_embedding_residuals(rng):
     h = assemble(spec)
     for bs in full_spectrum(spec):
         for pair in bs.pairs:
-            residual = h @ pair.vector - pair.value * pair.vector
+            vec = pair.embedded(spec.dimension)
+            residual = h @ vec - pair.value * vec
             assert np.max(np.abs(residual)) < 1e-12 * max(1.0, max_abs(h))
 
 
@@ -237,8 +238,8 @@ def test_full_spectrum_vectors_vanish_outside_block():
     spec = HamiltonianSpec([PTBlock(r=1.0, theta=0.4, s=1.2), RealLevel(a=2.0)])
     spectra = full_spectrum(spec)
     for pair in spectra[0].pairs:
-        assert pair.vector[2] == 0
-    assert np.array_equal(spectra[1].pairs[0].vector, [0, 0, 1])
+        assert pair.embedded(3)[2] == 0
+    assert np.array_equal(spectra[1].pairs[0].embedded(3), [0, 0, 1])
 
 
 def test_full_spectrum_strict_raises_with_block_name():

@@ -303,7 +303,8 @@ def test_cfrac_depth_one_eigen_action():
     pairs = [p for bs in spectra for p in bs.pairs]
     for pair in pairs:
         expected = (1.0 / 3.0) if pair.sign_index > 0 else -1.0
-        residual = f @ pair.vector - expected * pair.vector
+        vec = pair.embedded(GENERIC_SPEC.dimension)
+        residual = f @ vec - expected * vec
         assert np.max(np.abs(residual)) < 1e-12
 
 
@@ -321,7 +322,8 @@ def test_cfrac_matches_scalar_oracle_across_depths():
         f = cfrac_F(ops.C, CFracConfig(beta=2.0, depth=depth))
         for pair in pairs:
             expected = scalar_cfrac_oracle(float(pair.sign_index), 2.0, depth)
-            residual = f @ pair.vector - expected * pair.vector
+            vec = pair.embedded(GENERIC_SPEC.dimension)
+            residual = f @ vec - expected * vec
             assert np.max(np.abs(residual)) < 1e-10
 
 
