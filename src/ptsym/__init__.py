@@ -7,7 +7,6 @@ operators, and verifies every symmetry identity numerically.
 """
 
 from .ccs import (
-    CCSBra,
     bilinear_gram,
     ccs_expectation,
     ccs_inner,
@@ -18,7 +17,6 @@ from .ccs import (
 from .linalg import (
     SingularMatrixError,
     conj_mat,
-    conj_transpose,
     direct_sum,
     frob_norm,
     mat_inverse,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AntilinearOperator",
     "BlockSpectrum",
-    "CCSBra",
     "CFracConfig",
     "EigenPair",
     "HamiltonianSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "commutator_norm",
     "completeness",
     "conj_mat",
-    "conj_transpose",
     "dimension",
     "direct_sum",
     "eigen_block",

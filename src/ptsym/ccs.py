@@ -22,15 +22,12 @@ diagonal block, and entries between blocks are zero by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import as_cmatrix, as_cvector
 from .spectra import BlockSpectrum, NotUnbrokenError, Phase
 
 __all__ = [
-    "CCSBra",
     "ccs_inner",
     "ccs_expectation",
     "outer",
@@ -38,21 +35,6 @@ __all__ = [
     "reconstruct",
     "completeness",
 ]
-
-
-@dataclass(frozen=True)
-class CCSBra:
-    """Row functional u -> sum_i row_i u_i (the transpose of a ket)."""
-
-    row: np.ndarray
-
-    def __post_init__(self):
-        row = as_cvector(self.row)
-        row.flags.writeable = False
-        object.__setattr__(self, "row", row)
-
-    def pair(self, ket) -> complex:
-        return ccs_inner(self.row, ket)
 
 
 def ccs_inner(u, v) -> complex:

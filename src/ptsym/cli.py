@@ -52,6 +52,8 @@ DEFAULT_TOL = 1e-12
 # closed-form ones (nested inversions accumulate error), so the cfrac
 # command checks against tol scaled by this factor.
 CFRAC_TOL_FACTOR = 100.0
+# cfrac runs `cfrac_depth` N x N inversions, so the depth is bounded.
+MAX_CFRAC_DEPTH = 1000
 
 
 class ParseError(Exception):
@@ -94,6 +96,11 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("nested too deeply") from None
+    except ValueError as exc:
+        # an integer literal longer than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected an object")
     raw_blocks = _require(doc, "blocks", "top level")
@@ -126,6 +133,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(f"cfrac_depth: expected an integer, got {depth!r}")
     if depth < 1:
         raise ValidationError(f"cfrac_depth: must be >= 1, got {depth}")
+    if depth > MAX_CFRAC_DEPTH:
+        raise ValidationError(f"cfrac_depth: must be <= {MAX_CFRAC_DEPTH}, got {depth}")
     tol = _as_float(doc.get("tol", DEFAULT_TOL), "tol")
     if tol <= 0:
         raise ValidationError(f"tol: must be > 0, got {tol}")
@@ -301,6 +310,9 @@ def main(argv=None) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"ptsym: cannot read config: {exc}", file=err)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"ptsym: config error: not UTF-8: {exc}", file=err)
         return 2
     try:
         cfg = parse_config(text)

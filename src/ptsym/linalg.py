@@ -19,7 +19,6 @@ __all__ = [
     "mat_inverse",
     "conj_mat",
     "transpose",
-    "conj_transpose",
     "frob_norm",
     "max_abs",
     "direct_sum",
@@ -105,11 +104,6 @@ def conj_mat(a) -> np.ndarray:
 def transpose(a) -> np.ndarray:
     """Matrix transpose (no conjugation)."""
     return as_cmatrix(a).T.copy()
-
-
-def conj_transpose(a) -> np.ndarray:
-    """Hermitian adjoint: conjugate and transpose."""
-    return np.conj(as_cmatrix(a)).T.copy()
 
 
 def frob_norm(a) -> float:

@@ -95,11 +95,6 @@ class EigenPair:
         if self.sign_index not in (+1, -1):
             raise ValueError(f"sign_index must be +1 or -1, got {self.sign_index!r}")
 
-    @property
-    def bra(self) -> np.ndarray:
-        """Row of the bilinear bra: the plain transpose, no conjugation."""
-        return self.vector
-
     def embedded(self, n: int) -> np.ndarray:
         """The full length-``n`` eigenvector: ``vector`` at ``offset``, zeros elsewhere."""
         out = np.zeros(n, dtype=np.complex128)

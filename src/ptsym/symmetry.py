@@ -55,8 +55,7 @@ class AntilinearOperator:
     """A map v -> A conj(v): matrix part ``matrix`` composed with conjugation.
 
     With ``conjugates=False`` the operator degenerates to the plain linear
-    map ``matrix``.  Conjugation is an involution, so composing two
-    conjugating operators yields a linear one.
+    map ``matrix``.
     """
 
     matrix: np.ndarray
@@ -72,11 +71,6 @@ class AntilinearOperator:
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128)
         return self.matrix @ (np.conj(v) if self.conjugates else v)
-
-    def compose(self, other: "AntilinearOperator") -> "AntilinearOperator":
-        """self after other; K A K = conj(A) turns two conjugations linear."""
-        right = np.conj(other.matrix) if self.conjugates else other.matrix
-        return AntilinearOperator(self.matrix @ right, self.conjugates != other.conjugates)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from support import random_unbroken_block, random_unbroken_spec
 
 from ptsym import (
-    CCSBra,
     HamiltonianSpec,
     NotUnbrokenError,
     PTBlock,
@@ -80,13 +79,6 @@ def test_inner_is_bilinear(re_u, im_u, re_w, re_v, alpha):
     lhs = ccs_inner(alpha * u + w, v)
     rhs = alpha * ccs_inner(u, v) + ccs_inner(w, v)
     assert abs(lhs - rhs) < 1e-13
-
-
-def test_bra_wrapper_matches_inner():
-    plus, minus = eigen_block(GENERIC_BLOCK).pairs
-    bra = CCSBra(plus.bra)
-    assert bra.pair(plus.vector) == ccs_inner(plus.vector, plus.vector)
-    assert abs(bra.pair(minus.vector)) < 1e-12
 
 
 # -------------------------------------------------------- ccs_expectation

@@ -1,16 +1,29 @@
+import gc
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptsym
 from ptsym import HamiltonianSpec, PTBlock, RealLevel, assemble, max_abs
-from ptsym.cli import ParseError, RunConfig, ValidationError, main, parse_config
+from ptsym.cli import (
+    MAX_CFRAC_DEPTH,
+    ParseError,
+    RunConfig,
+    ValidationError,
+    main,
+    parse_config,
+)
 
 CHECK_RE = re.compile(
     r"^CHECK [A-Za-z_]+ residual=\d\.\d{3}e[+-]\d{2,3} tol=\d\.\d{3}e[+-]\d{2,3} (PASS|FAIL)$"
@@ -98,6 +111,47 @@ def test_parse_rejects_bad_schema():
         parse_config(json.dumps(dict(UNBROKEN_DOC, cfrac_depth=0)))
     with pytest.raises(ValidationError, match="expected a number"):
         parse_config(json.dumps(dict(UNBROKEN_DOC, beta=True)))
+
+
+def test_parse_bounds_cfrac_depth():
+    doc = dict(UNBROKEN_DOC, cfrac_depth=MAX_CFRAC_DEPTH)
+    assert parse_config(json.dumps(doc)).cfrac_depth == MAX_CFRAC_DEPTH
+    for depth in (MAX_CFRAC_DEPTH + 1, 10**400):
+        with pytest.raises(ValidationError, match="cfrac_depth: must be <="):
+            parse_config(json.dumps(dict(UNBROKEN_DOC, cfrac_depth=depth)))
+
+
+# JSON values of every type, nested a little.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+numbers = st.integers() | st.floats()
+block_docs = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["pt2", "level"]) | json_values},
+    optional={field: numbers | json_values for field in ("r", "theta", "s", "a")},
+)
+config_docs = st.fixed_dictionaries(
+    {"blocks": st.lists(block_docs, max_size=3) | json_values},
+    optional={
+        "beta": numbers | json_values,
+        "cfrac_depth": st.integers(-1, MAX_CFRAC_DEPTH + 1) | json_values,
+        "tol": numbers | json_values,
+    },
+)
+# Config-shaped JSON documents and raw bytes.
+config_bytes = st.binary(max_size=64) | config_docs.map(lambda doc: json.dumps(doc).encode())
+
+
+@settings(deadline=None, max_examples=200)
+@given(text=st.text(max_size=64) | config_docs.map(json.dumps))
+def test_parse_config_raises_only_config_errors(text):
+    try:
+        parse_config(text)
+    except (ParseError, ValidationError):
+        pass
 
 
 # ------------------------------------------------------------------- build
@@ -270,6 +324,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 10**5 + b"]" * 10**5,  # nested deeper than the JSON decoder recurses
+        b'{"blocks": [{"kind": "level", "a": ' + b"1" * 5000 + b"}]}",  # too many digits
+        b'{"blocks": [{"kind": "level", "a": 1.0}], "cfrac_depth": 100000000}',
+    ],
+    ids=["not-utf8", "nested", "long-integer", "cfrac-depth"],
+)
+def test_malformed_config_bytes_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "cfrac", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptsym: config error: ")
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=config_bytes)
+def test_main_exit_code_for_any_config_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for command in ("build", "spectrum", "operators", "verify", "cfrac"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main([command, path]) in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         ({"blocks": [{"kind": "level", "a": 10**400}]}, "blocks[0].a"),
@@ -320,20 +405,37 @@ def test_cfrac_pole_exits_1(tmp_path, capsys):
 # ------------------------------------------------------------ entry points
 
 
-def test_module_entry_point(tmp_path):
-    path = write_config(tmp_path, UNBROKEN_DOC)
+def test_module_entry_point(tmp_path, capsys):
     # the child imports the same ptsym as this process, installed or not
     src = os.path.dirname(os.path.dirname(ptsym.__file__))
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ptsym", "verify", path],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.count("PASS") == 10
+    cases = [
+        (UNBROKEN_DOC, [], 0),
+        (UNBROKEN_DOC, ["--tol", "1e-30"], 1),
+        ({"blocks": []}, [], 2),
+        (BROKEN_DOC, [], 3),
+    ]
+    for doc, extra, code in cases:
+        path = write_config(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptsym", "verify", path, *extra],
+            capture_output=True,
+            env=env,
+        )
+        in_process = run_cli(capsys, "verify", path, *extra)
+        assert in_process[0] == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code,
+            in_process[1].encode(),
+            in_process[2].encode(),
+        )
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "verify", write_config(tmp_path, UNBROKEN_DOC))[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_usage_error_exits_2():

@@ -6,7 +6,6 @@ from ptsym.linalg import (
     as_cmatrix,
     as_cvector,
     conj_mat,
-    conj_transpose,
     direct_sum,
     frob_norm,
     mat_inverse,
@@ -127,11 +126,6 @@ def test_transpose_of_complex_symmetric_is_identity_map():
 def test_conj_is_involution(rng):
     m = rand_cmat(rng, 4)
     assert np.array_equal(conj_mat(conj_mat(m)), m)
-
-
-def test_conj_transpose_composes_primitives(rng):
-    m = rand_cmat(rng, 5)
-    assert np.array_equal(conj_transpose(m), conj_mat(transpose(m)))
 
 
 # ------------------------------------------------------------------ norms

@@ -165,13 +165,6 @@ def test_applying_T_twice_is_identity(rng):
     assert np.array_equal(t.apply(t.apply(v)), v)
 
 
-def test_composing_T_with_itself_is_linear_identity():
-    t = build_T(GENERIC_SPEC)
-    tt = t.compose(t)
-    assert not tt.conjugates
-    assert np.array_equal(tt.matrix, np.eye(4))
-
-
 def test_antilinear_apply_semantics():
     op = AntilinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), conjugates=True)
     out = op.apply([1j, 2.0])
