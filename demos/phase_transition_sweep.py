@@ -34,7 +34,7 @@ for s in np.linspace(1.6 * x, 0.6 * x, 11):
     phase = classify(block)
     bs = full_spectrum(spec, allow_broken=True)[0]
     e_hi, e_lo = bs.values[0], bs.values[-1]
-    pt = AntilinearOperator(parity_matrix(spec), True)
+    pt = AntilinearOperator(parity_matrix(spec))
     residual = antilinear_commutator_norm(assemble(spec), pt)
     print(
         f"{s:10.6f} {x / s:8.4f} {phase.value:>12s} "

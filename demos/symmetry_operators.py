@@ -54,7 +54,7 @@ print("  trace C =", np.trace(ops.C).real.round(12), " trace P =", np.trace(ops.
 
 print("\ncommutation residuals:")
 print("  ||[H, C]||_F          =", commutator_norm(h, ops.C))
-pt = AntilinearOperator(ops.P, True)
+pt = AntilinearOperator(ops.P)
 print("  ||H P - P conj(H)||_F =", antilinear_commutator_norm(h, pt))
 print("  CPT conjugation       =", verify_cpt(h, ops))
 

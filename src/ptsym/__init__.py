@@ -16,13 +16,10 @@ from .ccs import (
 )
 from .linalg import (
     SingularMatrixError,
-    conj_mat,
     direct_sum,
     frob_norm,
     mat_inverse,
-    mat_mul,
     max_abs,
-    transpose,
 )
 from .model import (
     HamiltonianSpec,
@@ -92,7 +89,6 @@ __all__ = [
     "classify",
     "commutator_norm",
     "completeness",
-    "conj_mat",
     "dimension",
     "direct_sum",
     "eigen_block",
@@ -100,12 +96,10 @@ __all__ = [
     "frob_norm",
     "full_spectrum",
     "mat_inverse",
-    "mat_mul",
     "max_abs",
     "outer",
     "parity_matrix",
     "phase_angle",
     "reconstruct",
-    "transpose",
     "verify_cpt",
 ]

@@ -6,7 +6,8 @@
 The config file is JSON with a ``blocks`` array of
 ``{"kind": "pt2", "r": .., "theta": .., "s": ..}`` (theta in radians) or
 ``{"kind": "level", "a": ..}`` entries, plus optional ``beta``,
-``cfrac_depth`` and ``tol``.
+``cfrac_depth`` and ``tol``.  Any other key, and any key given twice in
+one object, is a config error.
 
 Output is deterministic text on stdout: matrix dumps as
 ``MATRIX <name> <nrows> <ncols>`` headers followed by one tab-separated
@@ -25,6 +26,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,12 @@ DEFAULT_TOL = 1e-12
 CFRAC_TOL_FACTOR = 100.0
 # cfrac runs `cfrac_depth` N x N inversions, so the depth is bounded.
 MAX_CFRAC_DEPTH = 1000
+# The keys each config object may hold.
+_TOP_KEYS = frozenset({"blocks", "beta", "cfrac_depth", "tol"})
+_BLOCK_KEYS = {
+    "pt2": frozenset({"kind", "r", "theta", "s"}),
+    "level": frozenset({"kind", "a"}),
+}
 
 
 class ParseError(Exception):
@@ -84,6 +92,27 @@ def _as_float(value, path: str) -> float:
     return value
 
 
+class _JSONObject(dict):
+    """A decoded JSON object that remembers the keys it was given more than once."""
+
+    repeated: tuple = ()
+
+
+def _json_object(pairs: list) -> _JSONObject:
+    obj = _JSONObject(pairs)
+    if len(obj) < len(pairs):
+        obj.repeated = tuple(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    return obj
+
+
+def _check_keys(obj: _JSONObject, allowed: frozenset, path: str) -> None:
+    if obj.repeated:
+        raise ValidationError(f"{path}: duplicate key {obj.repeated[0]!r}")
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(f"{path}: unknown key {key!r}")
+
+
 def _require(obj: dict, field: str, path: str):
     if field not in obj:
         raise ValidationError(f"{path}: missing field {field!r}")
@@ -93,7 +122,7 @@ def _require(obj: dict, field: str, path: str):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document into a :class:`RunConfig`."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
@@ -103,6 +132,7 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected an object")
+    _check_keys(doc, _TOP_KEYS, "top level")
     raw_blocks = _require(doc, "blocks", "top level")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise ValidationError("blocks: expected a nonempty array")
@@ -112,6 +142,9 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: expected an object")
         kind = _require(raw, "kind", path)
+        if not isinstance(kind, str) or kind not in _BLOCK_KEYS:
+            raise ValidationError(f"{path}.kind: unknown kind {kind!r}")
+        _check_keys(raw, _BLOCK_KEYS[kind], path)
         try:
             if kind == "pt2":
                 blocks.append(
@@ -121,10 +154,8 @@ def parse_config(text: str) -> RunConfig:
                         s=_as_float(_require(raw, "s", path), f"{path}.s"),
                     )
                 )
-            elif kind == "level":
-                blocks.append(RealLevel(a=_as_float(_require(raw, "a", path), f"{path}.a")))
             else:
-                raise ValidationError(f"{path}.kind: unknown kind {kind!r}")
+                blocks.append(RealLevel(a=_as_float(_require(raw, "a", path), f"{path}.a")))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
     beta = _as_float(doc.get("beta", 2.0), "beta")
@@ -203,7 +234,7 @@ def _cmd_operators(cfg: RunConfig, args, out, err) -> int:
     if "P" in which:
         _dump_matrix(out, "P", ops.P)
     if "T" in which:
-        print(f"ANTILINEAR T conjugates={str(ops.T.conjugates).lower()}", file=out)
+        print("ANTILINEAR T conjugates=true", file=out)
         _dump_matrix(out, "T", ops.T.matrix)
     return 0
 
@@ -232,7 +263,7 @@ def _cmd_verify(cfg: RunConfig, args, out, err) -> int:
     ok &= _check_line(
         out,
         "pt_antilinear",
-        antilinear_commutator_norm(h, AntilinearOperator(ops.P, True)),
+        antilinear_commutator_norm(h, AntilinearOperator(ops.P)),
         tol,
     )
     ok &= _check_line(out, "cpt_identity", verify_cpt(h, ops), tol)

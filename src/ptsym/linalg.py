@@ -15,10 +15,7 @@ __all__ = [
     "SingularMatrixError",
     "as_cmatrix",
     "as_cvector",
-    "mat_mul",
     "mat_inverse",
-    "conj_mat",
-    "transpose",
     "frob_norm",
     "max_abs",
     "direct_sum",
@@ -57,15 +54,6 @@ def as_cvector(v) -> np.ndarray:
     return w
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Complex matrix product ``a @ b`` with an explicit dimension check."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def mat_inverse(a) -> np.ndarray:
     """Invert a square matrix by partial-pivot Gauss-Jordan elimination.
 
@@ -94,16 +82,6 @@ def mat_inverse(a) -> np.ndarray:
         coeffs[col] = 0.0
         aug -= np.outer(coeffs, aug[col])
     return np.ascontiguousarray(aug[:, n:])
-
-
-def conj_mat(a) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return np.conj(as_cmatrix(a))
-
-
-def transpose(a) -> np.ndarray:
-    """Matrix transpose (no conjugation)."""
-    return as_cmatrix(a).T.copy()
 
 
 def frob_norm(a) -> float:

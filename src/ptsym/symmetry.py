@@ -9,10 +9,11 @@ over the bilinear outer products; on each 2x2 block it evaluates to
 and every real level contributes +1 on the diagonal.  Parity is recovered
 from C through the *Hermitian* Gram matrix G = sum_n |psi_n><psi_n| of the
 eigenvectors as P = G^{-1} C, which collapses to the block-exchange matrix
-(an anti-diagonal swap per 2x2 block, +1 per level).  Time reversal is the
-antilinear map T = I K with K entrywise conjugation.  C and G are summed
-block by block from the block-local eigenpairs, like the sums in
-:mod:`ptsym.ccs`.
+(an anti-diagonal swap per 2x2 block, +1 per level).  Time reversal is
+fixed as the antilinear map T = I K with K entrywise conjugation, so
+T^{-1} = T; there is no linear variant, and the CPT identity applies T as
+a plain conjugation.  C and G are summed block by block from the
+block-local eigenpairs, like the sums in :mod:`ptsym.ccs`.
 
 On top of the operators this module provides the commutation residuals
 ([H, C], antilinear [H, P K], the full C-P-T conjugation identity) and the
@@ -52,14 +53,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AntilinearOperator:
-    """A map v -> A conj(v): matrix part ``matrix`` composed with conjugation.
-
-    With ``conjugates=False`` the operator degenerates to the plain linear
-    map ``matrix``.
-    """
+    """A map v -> A conj(v): matrix part ``matrix`` composed with conjugation."""
 
     matrix: np.ndarray
-    conjugates: bool = True
 
     def __post_init__(self):
         m = as_cmatrix(self.matrix)
@@ -70,7 +66,7 @@ class AntilinearOperator:
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.complex128)
-        return self.matrix @ (np.conj(v) if self.conjugates else v)
+        return self.matrix @ np.conj(v)
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
 def build_T(spec: HamiltonianSpec) -> AntilinearOperator:
     """Time reversal: identity matrix part composed with conjugation."""
-    return AntilinearOperator(np.eye(dimension(spec), dtype=np.complex128), True)
+    return AntilinearOperator(np.eye(dimension(spec), dtype=np.complex128))
 
 
 def build_operators(
@@ -156,15 +152,10 @@ def commutator_norm(h, m) -> float:
 
 
 def antilinear_commutator_norm(h, op: AntilinearOperator) -> float:
-    """Commutation residual of H with A K:  ||H A - A conj(H)||_F.
-
-    For a non-conjugating operator this reduces to the plain commutator.
-    """
+    """Commutation residual of H with A K:  ||H A - A conj(H)||_F."""
     h = as_cmatrix(h)
     if h.shape != op.matrix.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {op.matrix.shape}")
-    if not op.conjugates:
-        return commutator_norm(h, op.matrix)
     return frob_norm(h @ op.matrix - op.matrix @ np.conj(h))
 
 
@@ -172,17 +163,13 @@ def verify_cpt(h, ops: OperatorSet) -> float:
     """Max-norm distance of T^{-1} P^{-1} C^{-1} H C P T from H.
 
     The antilinear similarity by T = A K acts on a linear map M as
-    conj(A^{-1} M A), so with A = I the full conjugation chain is
-    conj(P^{-1} C^{-1} H C P).
+    conj(A^{-1} M A).  T is I K by construction (:func:`build_T`), so the
+    full conjugation chain is conj(P^{-1} C^{-1} H C P) and ``ops.T`` is
+    not consulted.
     """
     h = as_cmatrix(h)
     inner = mat_inverse(ops.C) @ h @ ops.C
-    mid = mat_inverse(ops.P) @ inner @ ops.P
-    a = ops.T.matrix
-    moved = mat_inverse(a) @ mid @ a
-    if ops.T.conjugates:
-        moved = np.conj(moved)
-    return max_abs(moved - h)
+    return max_abs(np.conj(mat_inverse(ops.P) @ inner @ ops.P) - h)
 
 
 def c_expectations(

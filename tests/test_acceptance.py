@@ -133,7 +133,7 @@ def test_criterion_06_symmetry_residuals():
         h = assemble(spec)
         ops = build_operators(spec, full_spectrum(spec))
         worst = max(worst, commutator_norm(h, ops.C))
-        worst = max(worst, antilinear_commutator_norm(h, AntilinearOperator(ops.P, True)))
+        worst = max(worst, antilinear_commutator_norm(h, AntilinearOperator(ops.P)))
         worst = max(worst, verify_cpt(h, ops))
     # the antilinear parity check must hold for broken-phase systems too
     for _ in range(100):
@@ -141,7 +141,7 @@ def test_criterion_06_symmetry_residuals():
         rng.shuffle(blocks)
         spec = HamiltonianSpec(blocks)
         h = assemble(spec)
-        pt = AntilinearOperator(parity_matrix(spec), True)
+        pt = AntilinearOperator(parity_matrix(spec))
         worst = max(worst, antilinear_commutator_norm(h, pt))
     report(6, "[H,C], antilinear PT (both phases), CPT", worst < 1e-12, f"max dev {worst:.2e}")
 

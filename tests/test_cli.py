@@ -342,6 +342,38 @@ def test_malformed_config_bytes_exit_2(tmp_path, capsys, data):
     assert err.startswith("ptsym: config error: ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"blocks": [{"kind": "level", "a": 1.0}], "cfrac_dept": 4}',
+            "top level: unknown key 'cfrac_dept'",
+        ),
+        (
+            '{"blocks": [{"kind": "level", "a": 1.0, "s": 2.0}]}',
+            "blocks[0]: unknown key 's'",
+        ),
+        (
+            '{"blocks": [{"kind": "level", "a": 1.0},'
+            ' {"kind": "pt2", "r": 1.0, "theta": 0.5, "r": 2.0, "s": 1.2}]}',
+            "blocks[1]: duplicate key 'r'",
+        ),
+        (
+            '{"blocks": [{"kind": "level", "a": 1.0}], "beta": 3.0, "beta": 2.5}',
+            "top level: duplicate key 'beta'",
+        ),
+    ],
+    ids=["unknown-top-level", "unknown-in-level", "duplicate-in-block", "duplicate-top-level"],
+)
+def test_unknown_or_duplicate_key_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"ptsym: config error: {message}\n"
+
+
 @settings(deadline=None, max_examples=100)
 @given(data=config_bytes)
 def test_main_exit_code_for_any_config_bytes(data):

@@ -5,13 +5,10 @@ from ptsym.linalg import (
     SingularMatrixError,
     as_cmatrix,
     as_cvector,
-    conj_mat,
     direct_sum,
     frob_norm,
     mat_inverse,
-    mat_mul,
     max_abs,
-    transpose,
 )
 
 
@@ -23,46 +20,6 @@ def rand_cmat(rng, n, m=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)
-
-
-# ---------------------------------------------------------------- mat_mul
-
-
-def test_mat_mul_identity_left():
-    m = np.array([[1 + 2j, 3.0], [0.5j, -1.0]])
-    assert np.allclose(mat_mul(np.eye(2), m), m, atol=0)
-
-
-def test_mat_mul_permutation_swaps_rows():
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    expected = np.array([[3.0, 4.0], [1.0, 2.0]])
-    assert np.array_equal(mat_mul(swap, m), expected)
-
-
-def test_mat_mul_matches_triple_loop(rng):
-    a = rand_cmat(rng, 3)
-    b = rand_cmat(rng, 3)
-    # independent entry-by-entry product
-    expected = np.zeros((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert max_abs(mat_mul(a, b) - expected) < 1e-15
-
-
-def test_mat_mul_associative(rng):
-    for _ in range(25):
-        a, b, c = (rand_cmat(rng, 4) for _ in range(3))
-        lhs = mat_mul(mat_mul(a, b), c)
-        rhs = mat_mul(a, mat_mul(b, c))
-        assert max_abs(lhs - rhs) < 1e-12
-
-
-def test_mat_mul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(np.eye(2), np.eye(3))
 
 
 # ------------------------------------------------------------ mat_inverse
@@ -109,23 +66,6 @@ def test_inverse_singular_raises():
 def test_inverse_non_square_rejected():
     with pytest.raises(ValueError, match="non-square"):
         mat_inverse(np.ones((2, 3)))
-
-
-# ------------------------------------------- conj / transpose primitives
-
-
-def test_conj_single_entry():
-    assert conj_mat([[1j]])[0, 0] == -1j
-
-
-def test_transpose_of_complex_symmetric_is_identity_map():
-    m = np.array([[1 + 1j, 2.0], [2.0, 1 - 1j]])
-    assert np.array_equal(transpose(m), m)
-
-
-def test_conj_is_involution(rng):
-    m = rand_cmat(rng, 4)
-    assert np.array_equal(conj_mat(conj_mat(m)), m)
 
 
 # ------------------------------------------------------------------ norms

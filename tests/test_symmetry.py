@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,7 +156,6 @@ def test_build_P_matches_structural_parity(rng):
 )
 def test_build_T_is_identity_conjugation(spec, n):
     t = build_T(spec)
-    assert t.conjugates
     assert np.array_equal(t.matrix, np.eye(n))
 
 
@@ -166,7 +166,7 @@ def test_applying_T_twice_is_identity(rng):
 
 
 def test_antilinear_apply_semantics():
-    op = AntilinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), conjugates=True)
+    op = AntilinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
     out = op.apply([1j, 2.0])
     assert np.array_equal(out, np.array([2.0 + 0j, -1j]))
 
@@ -201,7 +201,7 @@ def test_pt_commutes_in_unbroken_phase(rng):
     for _ in range(10):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=2)
         h, _, ops = operators_for(spec)
-        assert antilinear_commutator_norm(h, AntilinearOperator(ops.P, True)) < 1e-12
+        assert antilinear_commutator_norm(h, AntilinearOperator(ops.P)) < 1e-12
 
 
 def test_pt_commutes_in_broken_phase(rng):
@@ -212,21 +212,14 @@ def test_pt_commutes_in_broken_phase(rng):
         rng.shuffle(blocks)
         spec = HamiltonianSpec(blocks)
         h = assemble(spec)
-        pt = AntilinearOperator(parity_matrix(spec), True)
+        pt = AntilinearOperator(parity_matrix(spec))
         assert antilinear_commutator_norm(h, pt) < 1e-12
 
 
 def test_plain_conjugation_commutes_with_real_symmetric():
     h = assemble(HamiltonianSpec([PTBlock(r=1.0, theta=0.0, s=0.5)]))
-    k = AntilinearOperator(np.eye(2), True)
+    k = AntilinearOperator(np.eye(2))
     assert antilinear_commutator_norm(h, k) == 0.0
-
-
-def test_non_conjugating_operator_reduces_to_commutator():
-    h = assemble(GENERIC_SPEC)
-    m = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    linear = AntilinearOperator(m, conjugates=False)
-    assert antilinear_commutator_norm(h, linear) == commutator_norm(h, m)
 
 
 # -------------------------------------------------------------------- CPT
@@ -247,13 +240,28 @@ def test_cpt_identity_ten_dimensional():
     assert verify_cpt(h, ops) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda ops: replace(ops, C=np.conj(ops.C)),
+        lambda ops: replace(ops, P=np.eye(ops.P.shape[0], dtype=complex)),
+    ],
+    ids=["conj-C", "identity-P"],
+)
+def test_cpt_identity_flags_wrong_operators(wrong):
+    # sin(theta) != 0, so C is not real and P is not the identity
+    h, _, ops = operators_for(GENERIC_SPEC)
+    assert verify_cpt(h, ops) < 1e-12
+    assert verify_cpt(h, wrong(ops)) > 0.1
+
+
 def test_symmetry_residuals_at_dimension_64(rng):
     blocks = [random_unbroken_block(rng) for _ in range(32)]
     spec = HamiltonianSpec(blocks)
     h, _, ops = operators_for(spec)
     assert spec.dimension == 64
     assert commutator_norm(h, ops.C) < 1e-12
-    assert antilinear_commutator_norm(h, AntilinearOperator(ops.P, True)) < 1e-12
+    assert antilinear_commutator_norm(h, AntilinearOperator(ops.P)) < 1e-12
     assert verify_cpt(h, ops) < 1e-12
 
 
