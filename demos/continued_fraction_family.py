@@ -14,7 +14,6 @@ poles in beta exactly.
 import numpy as np
 
 from ptsym import (
-    CFracConfig,
     HamiltonianSpec,
     PTBlock,
     RealLevel,
@@ -38,7 +37,7 @@ beta = 2.0
 print(f"beta = {beta}: scalar fraction at the two C eigenvalues per depth\n")
 print(f"{'depth':>5s} {'f(+1)':>12s} {'f(-1)':>12s} {'||[H,F]||':>12s} {'||[C,F]||':>12s}   eigen-action residual")
 for depth in range(1, 12):
-    f_matrix = cfrac_F(c, CFracConfig(beta=beta, depth=depth))
+    f_matrix = cfrac_F(c, beta, depth)
     worst = 0.0
     for bs in spectra:
         for pair in bs.pairs:
@@ -56,6 +55,6 @@ print("  at -1:           -1 = -1.0")
 
 print("\nbeta = 1 puts the depth-1 denominator at 1 + (-1) = 0:")
 try:
-    cfrac_F(c, CFracConfig(beta=1.0, depth=1))
+    cfrac_F(c, 1.0, 1)
 except SingularMatrixError as exc:
     print("  SingularMatrixError:", exc)

@@ -11,7 +11,6 @@ reality is lost.
 import numpy as np
 
 from ptsym import (
-    AntilinearOperator,
     HamiltonianSpec,
     Phase,
     PTBlock,
@@ -34,8 +33,7 @@ for s in np.linspace(1.6 * x, 0.6 * x, 11):
     phase = classify(block)
     bs = full_spectrum(spec, allow_broken=True)[0]
     e_hi, e_lo = bs.values[0], bs.values[-1]
-    pt = AntilinearOperator(parity_matrix(spec))
-    residual = antilinear_commutator_norm(assemble(spec), pt)
+    residual = antilinear_commutator_norm(assemble(spec), parity_matrix(spec))
     print(
         f"{s:10.6f} {x / s:8.4f} {phase.value:>12s} "
         f"{e_hi.real:10.6f} {e_lo.real:10.6f} {e_hi.imag:10.6f}   {residual:.1e}"

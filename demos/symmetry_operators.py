@@ -10,13 +10,13 @@ commutation identities then hold to machine precision.
 import numpy as np
 
 from ptsym import (
-    AntilinearOperator,
     HamiltonianSpec,
     PTBlock,
     RealLevel,
     antilinear_commutator_norm,
     assemble,
-    build_operators,
+    build_C,
+    build_P,
     c_expectations,
     commutator_norm,
     full_spectrum,
@@ -35,29 +35,27 @@ spec = HamiltonianSpec(
 )
 h = assemble(spec)
 spectra = full_spectrum(spec)
-ops = build_operators(spec, spectra)
+c = build_C(spectra)
+p = build_P(spectra, c)
 
 print("C =")
-print(ops.C.round(10))
+print(c.round(10))
 print("\nP =  (real block-exchange matrix)")
-print(ops.P.real.round(10))
-print("\nT = A K with A = identity; applying it twice returns the input:")
-v = np.array([1.0 + 2.0j, 0.5, -1j, 2.0, 0.25j])
-print("  T(T(v)) == v:", np.array_equal(ops.T.apply(ops.T.apply(v)), v))
+print(p.real.round(10))
+print("\nT = I K: entrywise conjugation, its own inverse, so it needs no matrix")
 
 n = spec.dimension
 print("\ninvolutions and realness:")
-print("  ||C^2 - I||_max =", max_abs(ops.C @ ops.C - np.eye(n)))
-print("  ||P^2 - I||_max =", max_abs(ops.P @ ops.P - np.eye(n)))
-print("  max |Im P|      =", float(np.max(np.abs(ops.P.imag))))
-print("  trace C =", np.trace(ops.C).real.round(12), " trace P =", np.trace(ops.P).real.round(12), " (= number of levels)")
+print("  ||C^2 - I||_max =", max_abs(c @ c - np.eye(n)))
+print("  ||P^2 - I||_max =", max_abs(p @ p - np.eye(n)))
+print("  max |Im P|      =", float(np.max(np.abs(p.imag))))
+print("  trace C =", np.trace(c).real.round(12), " trace P =", np.trace(p).real.round(12), " (= number of levels)")
 
 print("\ncommutation residuals:")
-print("  ||[H, C]||_F          =", commutator_norm(h, ops.C))
-pt = AntilinearOperator(ops.P)
-print("  ||H P - P conj(H)||_F =", antilinear_commutator_norm(h, pt))
-print("  CPT conjugation       =", verify_cpt(h, ops))
+print("  ||[H, C]||_F          =", commutator_norm(h, c))
+print("  ||H P - P conj(H)||_F =", antilinear_commutator_norm(h, p))
+print("  CPT conjugation       =", verify_cpt(h, c, p))
 
 print("\nC expectations (the +-1 grading of the eigenbasis):")
-for label, value in c_expectations(spectra, ops.C):
+for label, value in c_expectations(spectra, c):
     print(f"  {label}: {value.real:+.12f}{value.imag:+.1e}j")

@@ -42,14 +42,9 @@ from .spectra import (
     phase_angle,
 )
 from .symmetry import (
-    AntilinearOperator,
-    CFracConfig,
-    OperatorSet,
     antilinear_commutator_norm,
     build_C,
-    build_operators,
     build_P,
-    build_T,
     c_expectations,
     cfrac_F,
     cfrac_scalar,
@@ -61,14 +56,11 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntilinearOperator",
     "BlockSpectrum",
-    "CFracConfig",
     "EigenPair",
     "HamiltonianSpec",
     "NotBrokenError",
     "NotUnbrokenError",
-    "OperatorSet",
     "Phase",
     "PTBlock",
     "RealLevel",
@@ -79,8 +71,6 @@ __all__ = [
     "block_offsets",
     "build_C",
     "build_P",
-    "build_T",
-    "build_operators",
     "c_expectations",
     "ccs_expectation",
     "ccs_inner",

@@ -85,8 +85,17 @@ def mat_inverse(a) -> np.ndarray:
 
 
 def frob_norm(a) -> float:
-    """Frobenius norm, sqrt(sum of squared entry moduli)."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
+    """Frobenius norm, sqrt(sum of squared entry moduli).
+
+    The entries are divided by the largest modulus before squaring, so no
+    finite input overflows; a zero or non-finite largest modulus is the
+    norm itself.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    scale = max_abs(a)
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(a / scale))
 
 
 def max_abs(a) -> float:

@@ -11,9 +11,10 @@ from C through the *Hermitian* Gram matrix G = sum_n |psi_n><psi_n| of the
 eigenvectors as P = G^{-1} C, which collapses to the block-exchange matrix
 (an anti-diagonal swap per 2x2 block, +1 per level).  Time reversal is
 fixed as the antilinear map T = I K with K entrywise conjugation, so
-T^{-1} = T; there is no linear variant, and the CPT identity applies T as
-a plain conjugation.  C and G are summed block by block from the
-block-local eigenpairs, like the sums in :mod:`ptsym.ccs`.
+T^{-1} = T and the CPT identity applies T as a plain conjugation.  Every
+operator is a plain N x N matrix; an antilinear one, A K, is passed as its
+linear part A.  C and G are summed block by block from the block-local
+eigenpairs, like the sums in :mod:`ptsym.ccs`.
 
 On top of the operators this module provides the commutation residuals
 ([H, C], antilinear [H, P K], the full C-P-T conjugation identity) and the
@@ -23,7 +24,6 @@ function of C that inherits every commutation relation C satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,14 +34,9 @@ from .model import HamiltonianSpec, block_offsets, dimension
 from .spectra import BlockSpectrum
 
 __all__ = [
-    "AntilinearOperator",
-    "OperatorSet",
-    "CFracConfig",
     "build_C",
     "build_P",
     "parity_matrix",
-    "build_T",
-    "build_operators",
     "commutator_norm",
     "antilinear_commutator_norm",
     "verify_cpt",
@@ -51,47 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AntilinearOperator:
-    """A map v -> A conj(v): matrix part ``matrix`` composed with conjugation."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = as_cmatrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.complex128)
-        return self.matrix @ np.conj(v)
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """The C, P, T triple of one all-unbroken system."""
-
-    C: np.ndarray
-    P: np.ndarray
-    T: AntilinearOperator
-
-
-@dataclass(frozen=True)
-class CFracConfig:
-    """Nesting parameters of the continued-fraction symmetry."""
-
-    beta: float = 2.0
-    depth: int = 11
-
-    def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta!r}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth!r}")
-
-
 def build_C(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
     """Signed spectral sum  sum_n sign_n |psi_n><psi_n*|  (involutory)."""
     return _blockwise_sum(
@@ -99,18 +53,18 @@ def build_C(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
     )
 
 
-def build_P(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
+def build_P(spectra: Sequence[BlockSpectrum], c_matrix) -> np.ndarray:
     """Parity from the Gram-inverse route P = G^{-1} C.
 
-    G is the *Hermitian* Gram matrix sum_n |psi_n><psi_n| (conjugating
-    bra), the one choice under which the product collapses to the real
-    block-exchange matrix.
+    ``c_matrix`` is the C that :func:`build_C` made from the same
+    ``spectra``.  G is the *Hermitian* Gram matrix sum_n |psi_n><psi_n|
+    (conjugating bra), the one choice under which the product collapses to
+    the real block-exchange matrix.
     """
-    spectra = list(spectra)
     gram = _blockwise_sum(
         spectra, "build_P", lambda p: np.outer(p.vector, np.conj(p.vector))
     )
-    return mat_inverse(gram) @ build_C(spectra)
+    return mat_inverse(gram) @ c_matrix
 
 
 def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
@@ -130,18 +84,6 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return out
 
 
-def build_T(spec: HamiltonianSpec) -> AntilinearOperator:
-    """Time reversal: identity matrix part composed with conjugation."""
-    return AntilinearOperator(np.eye(dimension(spec), dtype=np.complex128))
-
-
-def build_operators(
-    spec: HamiltonianSpec, spectra: Sequence[BlockSpectrum]
-) -> OperatorSet:
-    """Bundle C, P, T for an all-unbroken system."""
-    return OperatorSet(C=build_C(spectra), P=build_P(spectra), T=build_T(spec))
-
-
 def commutator_norm(h, m) -> float:
     """Frobenius norm of H M - M H."""
     h = as_cmatrix(h)
@@ -151,25 +93,28 @@ def commutator_norm(h, m) -> float:
     return frob_norm(h @ m - m @ h)
 
 
-def antilinear_commutator_norm(h, op: AntilinearOperator) -> float:
-    """Commutation residual of H with A K:  ||H A - A conj(H)||_F."""
+def antilinear_commutator_norm(h, a) -> float:
+    """Commutation residual of H with the antilinear A K:  ||H A - A conj(H)||_F.
+
+    ``a`` is the linear part A; K is entrywise conjugation.
+    """
     h = as_cmatrix(h)
-    if h.shape != op.matrix.shape:
-        raise ValueError(f"dimension mismatch: {h.shape} vs {op.matrix.shape}")
-    return frob_norm(h @ op.matrix - op.matrix @ np.conj(h))
+    a = as_cmatrix(a)
+    if h.shape != a.shape:
+        raise ValueError(f"dimension mismatch: {h.shape} vs {a.shape}")
+    return frob_norm(h @ a - a @ np.conj(h))
 
 
-def verify_cpt(h, ops: OperatorSet) -> float:
+def verify_cpt(h, c_matrix, p_matrix) -> float:
     """Max-norm distance of T^{-1} P^{-1} C^{-1} H C P T from H.
 
     The antilinear similarity by T = A K acts on a linear map M as
-    conj(A^{-1} M A).  T is I K by construction (:func:`build_T`), so the
-    full conjugation chain is conj(P^{-1} C^{-1} H C P) and ``ops.T`` is
-    not consulted.
+    conj(A^{-1} M A).  T is I K, so the full conjugation chain is
+    conj(P^{-1} C^{-1} H C P).
     """
     h = as_cmatrix(h)
-    inner = mat_inverse(ops.C) @ h @ ops.C
-    return max_abs(np.conj(mat_inverse(ops.P) @ inner @ ops.P) - h)
+    inner = mat_inverse(c_matrix) @ h @ c_matrix
+    return max_abs(np.conj(mat_inverse(p_matrix) @ inner @ p_matrix) - h)
 
 
 def c_expectations(
@@ -220,21 +165,32 @@ def cfrac_scalar(lam: float, beta: float, depth: int) -> float:
     return f
 
 
-def cfrac_F(c_matrix, config: CFracConfig) -> np.ndarray:
+def cfrac_F(c_matrix, beta: float, depth: int) -> np.ndarray:
     """Matrix continued fraction F_0 = C, F_{k+1} = C (beta I + F_k)^{-1}.
 
     Expects an involutory C (spectrum {+1, -1}); the scalar recursion is
     run at both eigenvalues first, so a pole raises before any matrix
     inversion is attempted.  The result is a rational function of C and
     therefore commutes with everything C commutes with.
+
+    Raises
+    ------
+    ValueError
+        If ``beta`` is not finite or ``depth`` < 1.
+    SingularMatrixError
+        If the fraction hits a pole.
     """
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth!r}")
     c_matrix = as_cmatrix(c_matrix)
     if c_matrix.shape[0] != c_matrix.shape[1]:
         raise ValueError(f"C must be square, got {c_matrix.shape}")
     for lam in (1.0, -1.0):
-        cfrac_scalar(lam, config.beta, config.depth)
+        cfrac_scalar(lam, beta, depth)
     eye = np.eye(c_matrix.shape[0], dtype=np.complex128)
     f = c_matrix.copy()
-    for _ in range(config.depth):
-        f = c_matrix @ mat_inverse(config.beta * eye + f)
+    for _ in range(depth):
+        f = c_matrix @ mat_inverse(beta * eye + f)
     return f

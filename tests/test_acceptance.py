@@ -22,8 +22,6 @@ from support import (
 )
 
 from ptsym import (
-    AntilinearOperator,
-    CFracConfig,
     HamiltonianSpec,
     Phase,
     PTBlock,
@@ -32,7 +30,6 @@ from ptsym import (
     antilinear_commutator_norm,
     assemble,
     build_C,
-    build_operators,
     build_P,
     c_expectations,
     ccs_inner,
@@ -117,7 +114,8 @@ def test_criterion_05_p_operator():
     worst = 0.0
     for _ in range(100):
         spec = random_unbroken_spec(rng, max_pt=10, max_levels=5)
-        p = build_P(full_spectrum(spec))
+        spectra = full_spectrum(spec)
+        p = build_P(spectra, build_C(spectra))
         n = spec.dimension
         worst = max(worst, max_abs(p - pattern_P(spec)))
         worst = max(worst, float(np.max(np.abs(p.imag))))
@@ -131,18 +129,19 @@ def test_criterion_06_symmetry_residuals():
     for _ in range(100):
         spec = random_unbroken_spec(rng, max_pt=8, max_levels=4)
         h = assemble(spec)
-        ops = build_operators(spec, full_spectrum(spec))
-        worst = max(worst, commutator_norm(h, ops.C))
-        worst = max(worst, antilinear_commutator_norm(h, AntilinearOperator(ops.P)))
-        worst = max(worst, verify_cpt(h, ops))
+        spectra = full_spectrum(spec)
+        c = build_C(spectra)
+        p = build_P(spectra, c)
+        worst = max(worst, commutator_norm(h, c))
+        worst = max(worst, antilinear_commutator_norm(h, p))
+        worst = max(worst, verify_cpt(h, c, p))
     # the antilinear parity check must hold for broken-phase systems too
     for _ in range(100):
         blocks = [random_broken_block(rng), random_unbroken_block(rng)]
         rng.shuffle(blocks)
         spec = HamiltonianSpec(blocks)
         h = assemble(spec)
-        pt = AntilinearOperator(parity_matrix(spec))
-        worst = max(worst, antilinear_commutator_norm(h, pt))
+        worst = max(worst, antilinear_commutator_norm(h, parity_matrix(spec)))
     report(6, "[H,C], antilinear PT (both phases), CPT", worst < 1e-12, f"max dev {worst:.2e}")
 
 
@@ -182,8 +181,9 @@ def test_criterion_08_traces_count_levels():
         blocks += [RealLevel(a=float(rng.uniform(-3, 3))) for _ in range(n_levels)]
         rng.shuffle(blocks)
         spectra = full_spectrum(HamiltonianSpec(blocks))
-        worst = max(worst, abs(np.trace(build_C(spectra)) - n_levels))
-        worst = max(worst, abs(np.trace(build_P(spectra)) - n_levels))
+        c = build_C(spectra)
+        worst = max(worst, abs(np.trace(c) - n_levels))
+        worst = max(worst, abs(np.trace(build_P(spectra, c)) - n_levels))
     report(8, "trace(C) = trace(P) = #levels", worst < 1e-12, f"max dev {worst:.2e}")
 
 
@@ -195,7 +195,7 @@ def test_criterion_09_continued_fraction_family():
     c = build_C(spectra)
     worst = 0.0
     for depth in range(1, 12):
-        f = cfrac_F(c, CFracConfig(beta=2.0, depth=depth))
+        f = cfrac_F(c, 2.0, depth)
         worst = max(worst, commutator_norm(h, f))
         worst = max(worst, commutator_norm(c, f))
         for pair in all_pairs(spectra):
@@ -204,7 +204,7 @@ def test_criterion_09_continued_fraction_family():
             residual = f @ vec - expected * vec
             worst = max(worst, float(np.max(np.abs(residual))))
     with pytest.raises(SingularMatrixError):
-        cfrac_F(c, CFracConfig(beta=1.0, depth=1))
+        cfrac_F(c, 1.0, 1)
     report(9, "continued-fraction symmetry + pole detection", worst < 1e-10, f"max dev {worst:.2e}")
 
 

@@ -54,7 +54,7 @@ def test_outer_product_sums_bitwise_equal_to_padded_sums():
         identity = dense_sum(spectra, n, lambda p, v: np.outer(v, v))
         h = dense_sum(spectra, n, lambda p, v: p.value * np.outer(v, v))
         assert np.array_equal(build_C(spectra), c)
-        assert np.array_equal(build_P(spectra), mat_inverse(gram) @ c)
+        assert np.array_equal(build_P(spectra, build_C(spectra)), mat_inverse(gram) @ c)
         assert np.array_equal(completeness(spectra), identity)
         assert np.array_equal(reconstruct(spectra), h)
 

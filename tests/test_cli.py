@@ -219,13 +219,17 @@ def test_spectrum_vectors_flag(tmp_path, capsys):
 
 
 def test_operators_dumps_all_three(tmp_path, capsys):
-    path = write_config(tmp_path, UNBROKEN_DOC)
-    code, out, _ = run_cli(capsys, "operators", path)
-    assert code == 0
-    assert parse_matrix_dump(out, "C").shape == (5, 5)
-    assert parse_matrix_dump(out, "P").shape == (5, 5)
-    assert "ANTILINEAR T conjugates=true" in out
-    assert np.array_equal(parse_matrix_dump(out, "T"), np.eye(5))
+    one_block = {"blocks": [{"kind": "pt2", "r": 1.0, "theta": 0.3, "s": 1.0}]}
+    two_blocks = {"blocks": UNBROKEN_DOC["blocks"][:2]}
+    for doc, n in [(one_block, 2), (two_blocks, 4), (UNBROKEN_DOC, 5)]:
+        path = write_config(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "operators", path)
+        assert code == 0
+        assert parse_matrix_dump(out, "C").shape == (n, n)
+        assert parse_matrix_dump(out, "P").shape == (n, n)
+        # T = I K: the matrix part is the identity
+        assert "ANTILINEAR T conjugates=true" in out
+        assert np.array_equal(parse_matrix_dump(out, "T"), np.eye(n))
 
 
 def test_operators_which_flag(tmp_path, capsys):
@@ -437,11 +441,16 @@ def test_cfrac_pole_exits_1(tmp_path, capsys):
 # ------------------------------------------------------------ entry points
 
 
-def test_module_entry_point(tmp_path, capsys):
+def run_module(*argv):
+    """Run ``python -m ptsym`` on ``argv`` as a child process, bytes captured."""
     # the child imports the same ptsym as this process, installed or not
     src = os.path.dirname(os.path.dirname(ptsym.__file__))
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    return subprocess.run([sys.executable, "-m", "ptsym", *argv], capture_output=True, env=env)
+
+
+def test_module_entry_point(tmp_path, capsys):
     cases = [
         (UNBROKEN_DOC, [], 0),
         (UNBROKEN_DOC, ["--tol", "1e-30"], 1),
@@ -450,11 +459,7 @@ def test_module_entry_point(tmp_path, capsys):
     ]
     for doc, extra, code in cases:
         path = write_config(tmp_path, doc)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ptsym", "verify", path, *extra],
-            capture_output=True,
-            env=env,
-        )
+        proc = run_module("verify", path, *extra)
         in_process = run_cli(capsys, "verify", path, *extra)
         assert in_process[0] == code
         assert (proc.returncode, proc.stdout, proc.stderr) == (
@@ -474,3 +479,25 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+def test_entries_near_the_float_limit_leave_stderr_empty(tmp_path):
+    # squaring an entry above ~1.3e154 overflows; no residual may do that
+    doc = {
+        "blocks": [
+            {"kind": "pt2", "r": 1e300, "theta": 0.5, "s": 1e300},
+            {"kind": "level", "a": 1},
+        ]
+    }
+    path = write_config(tmp_path, doc)
+    for command in ("build", "spectrum", "operators", "verify", "cfrac"):
+        proc = run_module(command, path)
+        assert proc.stderr == b"", command
+        residuals = [
+            float(line.split()[2].removeprefix("residual="))
+            for line in proc.stdout.decode().splitlines()
+            if line.startswith("CHECK")
+        ]
+        assert all(math.isfinite(r) for r in residuals), command
+        if command == "verify":
+            assert len(residuals) == 10

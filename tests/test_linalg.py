@@ -91,6 +91,12 @@ def test_frob_norm_matches_sum_of_squares(rng):
     assert frob_norm(m) > 0.0
 
 
+def test_frob_norm_does_not_overflow():
+    # each squared entry would be 1e600
+    assert frob_norm([[1e300, 1e300]]) == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+    assert frob_norm([[np.inf, 1.0]]) == np.inf
+
+
 # ------------------------------------------------------------- direct_sum
 
 

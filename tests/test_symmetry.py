@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from support import (
 )
 
 from ptsym import (
-    AntilinearOperator,
-    CFracConfig,
     HamiltonianSpec,
     NotUnbrokenError,
     PTBlock,
@@ -24,9 +21,7 @@ from ptsym import (
     antilinear_commutator_norm,
     assemble,
     build_C,
-    build_operators,
     build_P,
-    build_T,
     c_expectations,
     cfrac_F,
     cfrac_scalar,
@@ -60,7 +55,12 @@ def rng():
 
 def operators_for(spec):
     spectra = full_spectrum(spec)
-    return assemble(spec), spectra, build_operators(spec, spectra)
+    c = build_C(spectra)
+    return assemble(spec), spectra, c, build_P(spectra, c)
+
+
+def parity_for(spec):
+    return operators_for(spec)[3]
 
 
 # ----------------------------------------------------------------- build_C
@@ -113,25 +113,25 @@ def test_build_C_real_only_in_hermitian_limit():
 
 def test_build_P_single_block_is_exchange():
     spec = HamiltonianSpec([PTBlock(r=1.3, theta=0.9, s=1.5)])
-    p = build_P(full_spectrum(spec))
+    p = parity_for(spec)
     assert max_abs(p - np.array([[0.0, 1.0], [1.0, 0.0]])) < 1e-12
 
 
 def test_build_P_block_plus_level():
     spec = HamiltonianSpec([PTBlock(r=1.0, theta=0.4, s=1.1), RealLevel(a=2.0)])
-    p = build_P(full_spectrum(spec))
+    p = parity_for(spec)
     assert max_abs(p - pattern_P(spec)) < 1e-12
 
 
 def test_build_P_ten_dimensional_pattern():
-    p = build_P(full_spectrum(FIVE_BLOCKS))
+    p = parity_for(FIVE_BLOCKS)
     assert max_abs(p - pattern_P(FIVE_BLOCKS)) < 1e-12
 
 
 def test_build_P_is_real_symmetric_involution(rng):
     for _ in range(25):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=3)
-        p = build_P(full_spectrum(spec))
+        p = parity_for(spec)
         assert float(np.max(np.abs(p.imag))) < 1e-13
         assert max_abs(p - p.T) < 1e-13
         assert max_abs(p @ p - np.eye(spec.dimension)) < 1e-12
@@ -140,35 +140,7 @@ def test_build_P_is_real_symmetric_involution(rng):
 def test_build_P_matches_structural_parity(rng):
     for _ in range(25):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=3)
-        assert max_abs(build_P(full_spectrum(spec)) - parity_matrix(spec)) < 1e-12
-
-
-# ----------------------------------------------------------------- build_T
-
-
-@pytest.mark.parametrize(
-    "spec,n",
-    [
-        (HamiltonianSpec([PTBlock(r=1.0, theta=0.3, s=1.0)]), 2),
-        (GENERIC_SPEC, 4),
-        (HamiltonianSpec(list(GENERIC_SPEC.blocks) + [RealLevel(a=1.0)]), 5),
-    ],
-)
-def test_build_T_is_identity_conjugation(spec, n):
-    t = build_T(spec)
-    assert np.array_equal(t.matrix, np.eye(n))
-
-
-def test_applying_T_twice_is_identity(rng):
-    t = build_T(GENERIC_SPEC)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.array_equal(t.apply(t.apply(v)), v)
-
-
-def test_antilinear_apply_semantics():
-    op = AntilinearOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    out = op.apply([1j, 2.0])
-    assert np.array_equal(out, np.array([2.0 + 0j, -1j]))
+        assert max_abs(parity_for(spec) - parity_matrix(spec)) < 1e-12
 
 
 # ------------------------------------------------------------- commutators
@@ -177,8 +149,8 @@ def test_antilinear_apply_semantics():
 def test_commutator_H_C_vanishes(rng):
     for _ in range(25):
         spec = random_unbroken_spec(rng, max_pt=5, max_levels=3)
-        h, _, ops = operators_for(spec)
-        assert commutator_norm(h, ops.C) < 1e-12
+        h, _, c, _ = operators_for(spec)
+        assert commutator_norm(h, c) < 1e-12
 
 
 def test_commutator_with_identity_is_zero():
@@ -188,8 +160,8 @@ def test_commutator_with_identity_is_zero():
 
 def test_commutator_H_C_inverse(rng):
     spec = random_unbroken_spec(rng, max_pt=4, max_levels=2)
-    h, _, ops = operators_for(spec)
-    assert commutator_norm(h, mat_inverse(ops.C)) < 1e-12
+    h, _, c, _ = operators_for(spec)
+    assert commutator_norm(h, mat_inverse(c)) < 1e-12
 
 
 def test_commutator_shape_mismatch():
@@ -200,8 +172,8 @@ def test_commutator_shape_mismatch():
 def test_pt_commutes_in_unbroken_phase(rng):
     for _ in range(10):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=2)
-        h, _, ops = operators_for(spec)
-        assert antilinear_commutator_norm(h, AntilinearOperator(ops.P)) < 1e-12
+        h, _, _, p = operators_for(spec)
+        assert antilinear_commutator_norm(h, p) < 1e-12
 
 
 def test_pt_commutes_in_broken_phase(rng):
@@ -212,57 +184,55 @@ def test_pt_commutes_in_broken_phase(rng):
         rng.shuffle(blocks)
         spec = HamiltonianSpec(blocks)
         h = assemble(spec)
-        pt = AntilinearOperator(parity_matrix(spec))
-        assert antilinear_commutator_norm(h, pt) < 1e-12
+        assert antilinear_commutator_norm(h, parity_matrix(spec)) < 1e-12
 
 
 def test_plain_conjugation_commutes_with_real_symmetric():
     h = assemble(HamiltonianSpec([PTBlock(r=1.0, theta=0.0, s=0.5)]))
-    k = AntilinearOperator(np.eye(2))
-    assert antilinear_commutator_norm(h, k) == 0.0
+    assert antilinear_commutator_norm(h, np.eye(2)) == 0.0
 
 
 # -------------------------------------------------------------------- CPT
 
 
 def test_cpt_identity_generic_block():
-    h, _, ops = operators_for(HamiltonianSpec([PTBlock(r=1.0, theta=0.5, s=1.2)]))
-    assert verify_cpt(h, ops) < 1e-12
+    h, _, c, p = operators_for(HamiltonianSpec([PTBlock(r=1.0, theta=0.5, s=1.2)]))
+    assert verify_cpt(h, c, p) < 1e-12
 
 
 def test_cpt_identity_hermitian_limit():
-    h, _, ops = operators_for(HamiltonianSpec([PTBlock(r=1.0, theta=0.0, s=1.2)]))
-    assert verify_cpt(h, ops) < 1e-14
+    h, _, c, p = operators_for(HamiltonianSpec([PTBlock(r=1.0, theta=0.0, s=1.2)]))
+    assert verify_cpt(h, c, p) < 1e-14
 
 
 def test_cpt_identity_ten_dimensional():
-    h, _, ops = operators_for(FIVE_BLOCKS)
-    assert verify_cpt(h, ops) < 1e-12
+    h, _, c, p = operators_for(FIVE_BLOCKS)
+    assert verify_cpt(h, c, p) < 1e-12
 
 
 @pytest.mark.parametrize(
     "wrong",
     [
-        lambda ops: replace(ops, C=np.conj(ops.C)),
-        lambda ops: replace(ops, P=np.eye(ops.P.shape[0], dtype=complex)),
+        lambda c, p: (np.conj(c), p),
+        lambda c, p: (c, np.eye(p.shape[0], dtype=complex)),
     ],
     ids=["conj-C", "identity-P"],
 )
 def test_cpt_identity_flags_wrong_operators(wrong):
     # sin(theta) != 0, so C is not real and P is not the identity
-    h, _, ops = operators_for(GENERIC_SPEC)
-    assert verify_cpt(h, ops) < 1e-12
-    assert verify_cpt(h, wrong(ops)) > 0.1
+    h, _, c, p = operators_for(GENERIC_SPEC)
+    assert verify_cpt(h, c, p) < 1e-12
+    assert verify_cpt(h, *wrong(c, p)) > 0.1
 
 
 def test_symmetry_residuals_at_dimension_64(rng):
     blocks = [random_unbroken_block(rng) for _ in range(32)]
     spec = HamiltonianSpec(blocks)
-    h, _, ops = operators_for(spec)
+    h, _, c, p = operators_for(spec)
     assert spec.dimension == 64
-    assert commutator_norm(h, ops.C) < 1e-12
-    assert antilinear_commutator_norm(h, AntilinearOperator(ops.P)) < 1e-12
-    assert verify_cpt(h, ops) < 1e-12
+    assert commutator_norm(h, c) < 1e-12
+    assert antilinear_commutator_norm(h, p) < 1e-12
+    assert verify_cpt(h, c, p) < 1e-12
 
 
 # ----------------------------------------------------------- expectations
@@ -272,8 +242,8 @@ def test_c_expectations_are_sign_indices(rng):
     spec = HamiltonianSpec(
         [PTBlock(r=1.0, theta=0.7, s=1.5), RealLevel(a=0.3), PTBlock(r=0.5, theta=-0.2, s=1.0)]
     )
-    _, spectra, ops = operators_for(spec)
-    results = c_expectations(spectra, ops.C)
+    _, spectra, c, _ = operators_for(spec)
+    results = c_expectations(spectra, c)
     pairs = [p for bs in spectra for p in bs.pairs]
     assert len(results) == len(pairs)
     for (label, value), pair in zip(results, pairs):
@@ -284,10 +254,10 @@ def test_c_expectations_are_sign_indices(rng):
 def test_trace_counts_levels(rng):
     for _ in range(25):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=5)
-        _, _, ops = operators_for(spec)
+        _, _, c, p = operators_for(spec)
         n_levels = sum(isinstance(b, RealLevel) for b in spec.blocks)
-        assert abs(np.trace(ops.C) - n_levels) < 1e-12
-        assert abs(np.trace(ops.P) - n_levels) < 1e-12
+        assert abs(np.trace(c) - n_levels) < 1e-12
+        assert abs(np.trace(p) - n_levels) < 1e-12
 
 
 # ------------------------------------------------------ continued fraction
@@ -299,8 +269,8 @@ def test_cfrac_scalar_examples():
 
 
 def test_cfrac_depth_one_eigen_action():
-    _, spectra, ops = operators_for(GENERIC_SPEC)
-    f = cfrac_F(ops.C, CFracConfig(beta=2.0, depth=1))
+    _, spectra, c, _ = operators_for(GENERIC_SPEC)
+    f = cfrac_F(c, 2.0, 1)
     pairs = [p for bs in spectra for p in bs.pairs]
     for pair in pairs:
         expected = (1.0 / 3.0) if pair.sign_index > 0 else -1.0
@@ -310,17 +280,17 @@ def test_cfrac_depth_one_eigen_action():
 
 
 def test_cfrac_deep_nesting_commutes():
-    h, _, ops = operators_for(GENERIC_SPEC)
-    f = cfrac_F(ops.C, CFracConfig(beta=2.0, depth=11))
+    h, _, c, _ = operators_for(GENERIC_SPEC)
+    f = cfrac_F(c, 2.0, 11)
     assert commutator_norm(h, f) < 1e-10
-    assert commutator_norm(ops.C, f) < 1e-10
+    assert commutator_norm(c, f) < 1e-10
 
 
 def test_cfrac_matches_scalar_oracle_across_depths():
-    _, spectra, ops = operators_for(GENERIC_SPEC)
+    _, spectra, c, _ = operators_for(GENERIC_SPEC)
     pairs = [p for bs in spectra for p in bs.pairs]
     for depth in range(1, 12):
-        f = cfrac_F(ops.C, CFracConfig(beta=2.0, depth=depth))
+        f = cfrac_F(c, 2.0, depth)
         for pair in pairs:
             expected = scalar_cfrac_oracle(float(pair.sign_index), 2.0, depth)
             vec = pair.embedded(GENERIC_SPEC.dimension)
@@ -329,15 +299,16 @@ def test_cfrac_matches_scalar_oracle_across_depths():
 
 
 def test_cfrac_pole_detected():
-    _, _, ops = operators_for(GENERIC_SPEC)
+    _, _, c, _ = operators_for(GENERIC_SPEC)
     with pytest.raises(SingularMatrixError, match="pole"):
-        cfrac_F(ops.C, CFracConfig(beta=1.0, depth=1))
+        cfrac_F(c, 1.0, 1)
     with pytest.raises(SingularMatrixError):
         cfrac_scalar(-1.0, 1.0, 1)
 
 
 def test_cfrac_config_validation():
+    c = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="depth"):
-        CFracConfig(beta=2.0, depth=0)
+        cfrac_F(c, 2.0, 0)
     with pytest.raises(ValueError, match="finite"):
-        CFracConfig(beta=float("inf"), depth=3)
+        cfrac_F(c, float("inf"), 3)
