@@ -26,6 +26,8 @@ from ptsym import (
     cfrac_F,
     cfrac_scalar,
     commutator_norm,
+    dimension,
+    frob_norm,
     full_spectrum,
     mat_inverse,
     max_abs,
@@ -141,6 +143,27 @@ def test_build_P_matches_structural_parity(rng):
     for _ in range(25):
         spec = random_unbroken_spec(rng, max_pt=4, max_levels=3)
         assert max_abs(parity_for(spec) - parity_matrix(spec)) < 1e-12
+
+
+# ---------------------------------------------------------------------- T
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        (HamiltonianSpec([PTBlock(r=1.0, theta=0.3, s=1.0)]), 2),
+        (GENERIC_SPEC, 4),
+        (HamiltonianSpec(list(GENERIC_SPEC.blocks) + [RealLevel(a=1.0)]), 5),
+    ],
+)
+def test_build_T_is_identity_conjugation(spec, n):
+    # T = I K: its linear part is the n x n identity, so T H T^-1 = conj(H)
+    # and PT is the antilinear map with linear part P
+    h = assemble(spec)
+    t = np.eye(dimension(spec))
+    assert t.shape == (n, n)
+    assert antilinear_commutator_norm(h, t) == frob_norm(h - np.conj(h))
+    assert antilinear_commutator_norm(h, parity_matrix(spec) @ t) < 1e-12
 
 
 # ------------------------------------------------------------- commutators
