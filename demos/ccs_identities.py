@@ -18,7 +18,6 @@ from ptsym import (
     PTBlock,
     RealLevel,
     assemble,
-    ccs_expectation,
     ccs_inner,
     completeness,
     full_spectrum,
@@ -50,7 +49,7 @@ print(herm.round(6))
 
 print("\nenergy expectations <psi*|H|psi> vs eigenvalues:")
 for pair, vec in zip(pairs, vecs):
-    e = ccs_expectation(vec, h, vec)
+    e = ccs_inner(vec, h @ vec)
     print(f"  pairing {e.real:+.8f}{e.imag:+.1e}j   eigenvalue {pair.value.real:+.8f}")
 
 print("\nspectral reconstruction sum_n E_n |psi_n><psi_n*|:")

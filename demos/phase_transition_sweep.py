@@ -31,7 +31,7 @@ for s in np.linspace(1.6 * x, 0.6 * x, 11):
     block = PTBlock(r=R, theta=THETA, s=float(s))
     spec = HamiltonianSpec([block])
     phase = classify(block)
-    bs = full_spectrum(spec, allow_broken=True)[0]
+    bs = full_spectrum(spec)[0]
     e_hi, e_lo = bs.values[0], bs.values[-1]
     residual = antilinear_commutator_norm(assemble(spec), parity_matrix(spec))
     print(

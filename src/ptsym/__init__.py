@@ -6,14 +6,7 @@ levels.  The package computes their closed-form spectra, the bilinear
 operators, and verifies every symmetry identity numerically.
 """
 
-from .ccs import (
-    bilinear_gram,
-    ccs_expectation,
-    ccs_inner,
-    completeness,
-    outer,
-    reconstruct,
-)
+from .ccs import bilinear_gram, ccs_inner, completeness, reconstruct
 from .linalg import (
     SingularMatrixError,
     direct_sum,
@@ -39,7 +32,6 @@ from .spectra import (
     eigen_block,
     eigen_broken,
     full_spectrum,
-    phase_angle,
 )
 from .symmetry import (
     antilinear_commutator_norm,
@@ -72,7 +64,6 @@ __all__ = [
     "build_C",
     "build_P",
     "c_expectations",
-    "ccs_expectation",
     "ccs_inner",
     "cfrac_F",
     "cfrac_scalar",
@@ -87,9 +78,7 @@ __all__ = [
     "full_spectrum",
     "mat_inverse",
     "max_abs",
-    "outer",
     "parity_matrix",
-    "phase_angle",
     "reconstruct",
     "verify_cpt",
 ]

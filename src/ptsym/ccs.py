@@ -12,7 +12,9 @@ usual spectral identities of Hermitian quantum mechanics hold verbatim:
 orthonormality, energy expectation, spectral reconstruction, completeness.
 Self-orthogonal vectors such as (1, i) exist in this geometry, which is why
 broken-phase blocks (whose coalescing eigenvectors are exactly of that
-kind) are refused rather than paired.
+kind) are refused rather than paired: every sum here, and the C and P of
+:mod:`ptsym.symmetry`, goes through one phase gate that names the first
+block that is not unbroken.
 
 Eigenpairs carry only their block's entries plus an offset (see
 :class:`~ptsym.spectra.EigenPair`).  The N x N sums below are therefore
@@ -24,13 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_cmatrix, as_cvector
+from .linalg import as_cvector
 from .spectra import BlockSpectrum, NotUnbrokenError, Phase
 
 __all__ = [
     "ccs_inner",
-    "ccs_expectation",
-    "outer",
     "bilinear_gram",
     "reconstruct",
     "completeness",
@@ -46,28 +46,16 @@ def ccs_inner(u, v) -> complex:
     return complex(np.dot(u, v))
 
 
-def ccs_expectation(u, matrix, v) -> complex:
-    """Bilinear matrix element <u*| M |v> = ccs_inner(u, M v)."""
-    matrix = as_cmatrix(matrix)
-    v = as_cvector(v)
-    if matrix.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {matrix.shape} @ {v.shape}")
-    return ccs_inner(u, matrix @ v)
-
-
-def outer(u, v) -> np.ndarray:
-    """Rank-1 matrix |u><v*| with entries u_i v_j (no conjugation)."""
-    return np.outer(as_cvector(u), as_cvector(v))
-
-
-def _check_unbroken(spectra: list[BlockSpectrum], what: str) -> int:
-    """Validate phases and that the blocks' offsets tile [0, N); return N."""
+def _check_unbroken(spectra: list[BlockSpectrum]) -> int:
+    """The phase gate: refuse any block that is not unbroken, then check that
+    the blocks' offsets tile [0, N); return N."""
     spans = []
     for bs in spectra:
         if bs.phase is not Phase.UNBROKEN:
             raise NotUnbrokenError(
-                f"{what} needs all-unbroken spectra; block {bs.block_id} "
-                f"is {bs.phase.value}"
+                f"block {bs.block_id} is {bs.phase.value}; "
+                "eigenvectors exist only in the unbroken phase "
+                "(eigenvalues-only spectra are still available)"
             )
         spans.extend({(pair.offset, pair.vector.shape[0]) for pair in bs.pairs})
     n = 0
@@ -81,7 +69,7 @@ def _check_unbroken(spectra: list[BlockSpectrum], what: str) -> int:
     return n
 
 
-def _blockwise_sum(spectra, what: str, term) -> np.ndarray:
+def _blockwise_sum(spectra, term) -> np.ndarray:
     """The N x N sum over eigenpairs of ``term(pair)``, a w x w matrix on the
     pair's own block ``[offset, offset + w)``.
 
@@ -90,7 +78,7 @@ def _blockwise_sum(spectra, what: str, term) -> np.ndarray:
     construction and are never summed.
     """
     spectra = list(spectra)
-    n = _check_unbroken(spectra, what)
+    n = _check_unbroken(spectra)
     out = np.zeros((n, n), dtype=np.complex128)
     for bs in spectra:
         for pair in bs.pairs:
@@ -106,7 +94,7 @@ def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
     pairings within each block are computed; the rest are zero.
     """
     spectra = list(spectra)
-    n = _check_unbroken(spectra, "bilinear_gram")
+    n = _check_unbroken(spectra)
     out = np.zeros((n, n), dtype=np.complex128)
     at = 0
     for bs in spectra:
@@ -119,11 +107,9 @@ def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
 
 def reconstruct(spectra: list[BlockSpectrum]) -> np.ndarray:
     """Spectral sum  sum_n E_n |psi_n><psi_n*|  (equals the Hamiltonian)."""
-    return _blockwise_sum(
-        spectra, "reconstruct", lambda p: p.value * outer(p.vector, p.vector)
-    )
+    return _blockwise_sum(spectra, lambda p: p.value * np.outer(p.vector, p.vector))
 
 
 def completeness(spectra: list[BlockSpectrum]) -> np.ndarray:
     """Resolution of the identity  sum_n |psi_n><psi_n*|."""
-    return _blockwise_sum(spectra, "completeness", lambda p: outer(p.vector, p.vector))
+    return _blockwise_sum(spectra, lambda p: np.outer(p.vector, p.vector))

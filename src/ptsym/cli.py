@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .symmetry import (
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "parse_config", "main"]
 
-DEFAULT_TOL = 1e-12
 # The continued-fraction identities hold to a looser bound than the
 # closed-form ones (nested inversions accumulate error), so the cfrac
 # command checks against tol scaled by this factor.
@@ -75,7 +74,7 @@ class RunConfig:
     spec: HamiltonianSpec
     beta: float = 2.0
     cfrac_depth: int = 11
-    tol: float = DEFAULT_TOL
+    tol: float = 1e-12
 
 
 def _as_float(value, path: str) -> float:
@@ -156,15 +155,15 @@ def parse_config(text: str) -> RunConfig:
                 blocks.append(RealLevel(a=_as_float(_require(raw, "a", path), f"{path}.a")))
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
-    beta = _as_float(doc.get("beta", 2.0), "beta")
-    depth = doc.get("cfrac_depth", 11)
+    beta = _as_float(doc.get("beta", RunConfig.beta), "beta")
+    depth = doc.get("cfrac_depth", RunConfig.cfrac_depth)
     if isinstance(depth, bool) or not isinstance(depth, int):
         raise ValidationError(f"cfrac_depth: expected an integer, got {depth!r}")
     if depth < 1:
         raise ValidationError(f"cfrac_depth: must be >= 1, got {depth}")
     if depth > MAX_CFRAC_DEPTH:
         raise ValidationError(f"cfrac_depth: must be <= {MAX_CFRAC_DEPTH}, got {depth}")
-    tol = _as_float(doc.get("tol", DEFAULT_TOL), "tol")
+    tol = _as_float(doc.get("tol", RunConfig.tol), "tol")
     if tol <= 0:
         raise ValidationError(f"tol: must be > 0, got {tol}")
     return RunConfig(spec=HamiltonianSpec(blocks), beta=beta, cfrac_depth=depth, tol=tol)
@@ -200,7 +199,7 @@ def _cmd_build(cfg: RunConfig, args, out, err) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig, args, out, err) -> int:
-    spectra = full_spectrum(cfg.spec, allow_broken=True)
+    spectra = full_spectrum(cfg.spec)
     n = dimension(cfg.spec)
     print(f"SPECTRUM N {n} BLOCKS {len(spectra)}", file=out)
     for bs, block in zip(spectra, cfg.spec.blocks):
@@ -225,13 +224,13 @@ def _cmd_spectrum(cfg: RunConfig, args, out, err) -> int:
 
 def _cmd_operators(cfg: RunConfig, args, out, err) -> int:
     spectra = full_spectrum(cfg.spec)
+    # C is built for every --which: build_C is the phase gate
     c = build_C(spectra)
-    p = build_P(spectra, c)
     which = args.which or "CPT"
     if "C" in which:
         _dump_matrix(out, "C", c)
     if "P" in which:
-        _dump_matrix(out, "P", p)
+        _dump_matrix(out, "P", build_P(spectra, c))
     if "T" in which:
         # T = I K: the identity matrix part of the antilinear map
         print("ANTILINEAR T conjugates=true", file=out)
@@ -294,11 +293,11 @@ def _cmd_cfrac(cfg: RunConfig, args, out, err) -> int:
 
 
 _COMMANDS = {
-    "build": _cmd_build,
-    "spectrum": _cmd_spectrum,
-    "operators": _cmd_operators,
-    "verify": _cmd_verify,
-    "cfrac": _cmd_cfrac,
+    "build": (_cmd_build, "print the assembled Hamiltonian matrix"),
+    "spectrum": (_cmd_spectrum, "per-block phase classification and eigenvalues"),
+    "operators": (_cmd_operators, "print the C, P and T operators"),
+    "verify": (_cmd_verify, "run every symmetry identity as a CHECK line"),
+    "cfrac": (_cmd_cfrac, "evaluate the continued-fraction symmetry F"),
 }
 
 
@@ -308,14 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct and verify block-matrix PT-symmetric systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "build": "print the assembled Hamiltonian matrix",
-        "spectrum": "per-block phase classification and eigenvalues",
-        "operators": "print the C, P and T operators",
-        "verify": "run every symmetry identity as a CHECK line",
-        "cfrac": "evaluate the continued-fraction symmetry F",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--tol", type=float, default=None, help="override check tolerance")
@@ -353,10 +345,10 @@ def main(argv=None) -> int:
                 file=err,
             )
             return 2
-        cfg = RunConfig(spec=cfg.spec, beta=cfg.beta, cfrac_depth=cfg.cfrac_depth, tol=args.tol)
+        cfg = replace(cfg, tol=args.tol)
 
     try:
-        return _COMMANDS[args.command](cfg, args, out, err)
+        return _COMMANDS[args.command][0](cfg, args, out, err)
     except NotUnbrokenError as exc:
         print(f"ptsym: phase error: {exc}", file=err)
         return 3

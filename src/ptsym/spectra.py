@@ -42,7 +42,6 @@ __all__ = [
     "NotBrokenError",
     "EXCEPTIONAL_BAND",
     "classify",
-    "phase_angle",
     "eigen_block",
     "eigen_broken",
     "full_spectrum",
@@ -127,20 +126,11 @@ def classify(block: PTBlock) -> Phase:
     return Phase.UNBROKEN if x < block.s else Phase.BROKEN
 
 
-def phase_angle(block: PTBlock) -> float:
-    """The angle phi with sin(phi) = r sin(theta) / s, principal branch."""
-    ratio = block.r * math.sin(block.theta) / block.s
-    if abs(ratio) >= 1.0:
-        raise NotUnbrokenError(
-            f"|r sin(theta)|/s = {abs(ratio):.6g} >= 1: no real phase angle"
-        )
-    return math.asin(ratio)
-
-
 def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
     """Closed-form eigenvalues and bilinear-normalised eigenvectors.
 
-    Only defined in the unbroken phase, where both eigenvalues are real.
+    Only defined in the unbroken phase, where both eigenvalues are real and
+    ``phi`` is the principal-branch angle with sin(phi) = r sin(theta) / s.
 
     Raises
     ------
@@ -153,7 +143,7 @@ def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
         raise NotUnbrokenError(
             f"block {block_id} is {phase.value}; eigen_block needs the unbroken phase"
         )
-    phi = phase_angle(block)
+    phi = math.asin(block.r * math.sin(block.theta) / block.s)
     scale = 1.0 / math.sqrt(2.0 * math.cos(phi))
     half = cmath.exp(0.5j * phi)
     plus_vec = scale * np.array([half, half.conjugate()], dtype=np.complex128)
@@ -172,7 +162,10 @@ def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
 def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
     """Conjugate eigenvalue pair r cos(theta) +- i sqrt(r^2 sin^2(theta) - s^2).
 
-    The two returned values are exact complex conjugates of each other.
+    The two returned values are exact complex conjugates of each other.  The
+    width is evaluated as x sqrt((1 - t)(1 + t)) with x = |r sin(theta)| and
+    t = s / x, which neither overflows for large x nor cancels near the
+    exceptional point.
 
     Raises
     ------
@@ -181,15 +174,14 @@ def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
     """
     if classify(block) is not Phase.BROKEN:
         raise NotBrokenError("eigen_broken needs a broken-phase block")
-    x = block.r * math.sin(block.theta)
-    width = math.sqrt(x * x - block.s * block.s)
+    x = abs(block.r * math.sin(block.theta))
+    t = block.s / x
+    width = x * math.sqrt((1.0 - t) * (1.0 + t))
     upper = complex(block.r * math.cos(block.theta), width)
     return upper, upper.conjugate()
 
 
-def full_spectrum(
-    spec: HamiltonianSpec, allow_broken: bool = False
-) -> list[BlockSpectrum]:
+def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:
     """Per-block spectra, each eigenpair tagged with its block's offset.
 
     Eigenvectors keep only their block's entries; ``pair.offset`` places
@@ -197,9 +189,9 @@ def full_spectrum(
     level contributes an unbroken one-member spectrum: eigenvalue ``a``,
     the local vector ``[1]`` at its offset, sign +1.
 
-    With ``allow_broken=True`` non-unbroken blocks are reported
-    eigenvalues-only (empty ``pairs``); otherwise they raise
-    :class:`NotUnbrokenError` naming the offending block.
+    Every block is described.  Exceptional and broken blocks come back
+    eigenvalues-only (empty ``pairs``); whatever needs their eigenvectors
+    refuses them (see :mod:`ptsym.ccs`).
     """
     out: list[BlockSpectrum] = []
     for block_id, (block, (start, _width)) in enumerate(
@@ -218,12 +210,6 @@ def full_spectrum(
                 for p in local.pairs
             )
             out.append(BlockSpectrum(block_id, phase, local.phi, pairs, local.values))
-        elif not allow_broken:
-            raise NotUnbrokenError(
-                f"block {block_id} is {phase.value}; "
-                "eigenvectors exist only in the unbroken phase "
-                "(eigenvalues-only spectra are still available)"
-            )
         elif phase is Phase.BROKEN:
             out.append(BlockSpectrum(block_id, phase, None, (), eigen_broken(block)))
         else:

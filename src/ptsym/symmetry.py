@@ -14,7 +14,8 @@ fixed as the antilinear map T = I K with K entrywise conjugation, so
 T^{-1} = T and the CPT identity applies T as a plain conjugation.  Every
 operator is a plain N x N matrix; an antilinear one, A K, is passed as its
 linear part A.  C and G are summed block by block from the block-local
-eigenpairs, like the sums in :mod:`ptsym.ccs`.
+eigenpairs, like the sums in :mod:`ptsym.ccs`, and through the same phase
+gate: a spectrum with an exceptional or broken block has no C or P.
 
 On top of the operators this module provides the commutation residuals
 ([H, C], antilinear [H, P K], the full C-P-T conjugation identity) and the
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccs import _blockwise_sum, ccs_expectation, outer
+from .ccs import _blockwise_sum, ccs_inner
 from .linalg import SingularMatrixError, as_cmatrix, frob_norm, max_abs, mat_inverse
 from .model import HamiltonianSpec, block_offsets, dimension
 from .spectra import BlockSpectrum
@@ -48,9 +49,7 @@ __all__ = [
 
 def build_C(spectra: Sequence[BlockSpectrum]) -> np.ndarray:
     """Signed spectral sum  sum_n sign_n |psi_n><psi_n*|  (involutory)."""
-    return _blockwise_sum(
-        spectra, "build_C", lambda p: p.sign_index * outer(p.vector, p.vector)
-    )
+    return _blockwise_sum(spectra, lambda p: p.sign_index * np.outer(p.vector, p.vector))
 
 
 def build_P(spectra: Sequence[BlockSpectrum], c_matrix) -> np.ndarray:
@@ -61,9 +60,7 @@ def build_P(spectra: Sequence[BlockSpectrum], c_matrix) -> np.ndarray:
     (conjugating bra), the one choice under which the product collapses to
     the real block-exchange matrix.
     """
-    gram = _blockwise_sum(
-        spectra, "build_P", lambda p: np.outer(p.vector, np.conj(p.vector))
-    )
+    gram = _blockwise_sum(spectra, lambda p: np.outer(p.vector, np.conj(p.vector)))
     return mat_inverse(gram) @ c_matrix
 
 
@@ -134,7 +131,7 @@ def c_expectations(
             label = f"block{bs.block_id}{'+' if pair.sign_index > 0 else '-'}"
             o, w = pair.offset, pair.vector.shape[0]
             block = c_matrix[o : o + w, o : o + w]
-            out.append((label, ccs_expectation(pair.vector, block, pair.vector)))
+            out.append((label, ccs_inner(pair.vector, block @ pair.vector)))
     return out
 
 

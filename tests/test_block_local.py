@@ -18,7 +18,6 @@ from ptsym import (
     build_C,
     build_P,
     c_expectations,
-    ccs_expectation,
     ccs_inner,
     completeness,
     eigen_block,
@@ -68,7 +67,7 @@ def test_pairings_match_padded_pairings():
 
         c = build_C(spectra)
         got = [value for _, value in c_expectations(spectra, c)]
-        expected = [ccs_expectation(v, c, v) for v in vecs]
+        expected = [ccs_inner(v, c @ v) for v in vecs]
         assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
 
 

@@ -13,13 +13,11 @@ from ptsym import (
     PTBlock,
     RealLevel,
     assemble,
-    ccs_expectation,
     ccs_inner,
     completeness,
     eigen_block,
     full_spectrum,
     max_abs,
-    outer,
     reconstruct,
 )
 
@@ -81,7 +79,7 @@ def test_inner_is_bilinear(re_u, im_u, re_w, re_v, alpha):
     assert abs(lhs - rhs) < 1e-13
 
 
-# -------------------------------------------------------- ccs_expectation
+# ------------------------------------------------------- energy pairings
 
 
 def test_energy_expectations():
@@ -90,45 +88,15 @@ def test_energy_expectations():
     plus, minus = eigen_block(block).pairs
     phi = math.asin(block.r * math.sin(block.theta) / block.s)
     base, split = block.r * math.cos(block.theta), block.s * math.cos(phi)
-    assert abs(ccs_expectation(plus.vector, h, plus.vector) - (base + split)) < 1e-12
-    assert abs(ccs_expectation(minus.vector, h, minus.vector) - (base - split)) < 1e-12
+    assert abs(ccs_inner(plus.vector, h @ plus.vector) - (base + split)) < 1e-12
+    assert abs(ccs_inner(minus.vector, h @ minus.vector) - (base - split)) < 1e-12
 
 
 def test_level_expectation():
     spec = HamiltonianSpec([GENERIC_BLOCK, RealLevel(a=0.35)])
     h = assemble(spec)
     level_vec = full_spectrum(spec)[1].pairs[0].embedded(spec.dimension)
-    assert abs(ccs_expectation(level_vec, h, level_vec) - 0.35) < 1e-15
-
-
-# ------------------------------------------------------------------ outer
-
-
-def test_outer_basis_vectors():
-    e1 = [1.0, 0.0, 0.0]
-    e2 = [0.0, 1.0, 0.0]
-    m = outer(e1, e2)
-    expected = np.zeros((3, 3))
-    expected[0, 1] = 1.0
-    assert np.array_equal(m, expected)
-
-
-def test_outer_sum_gives_identity():
-    plus, minus = eigen_block(GENERIC_BLOCK).pairs
-    total = outer(plus.vector, plus.vector) + outer(minus.vector, minus.vector)
-    assert max_abs(total - np.eye(2)) < 1e-12
-
-
-def test_outer_is_rank_one(rng):
-    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    m = outer(u, v)
-    for i in range(4):
-        for k in range(i + 1, 4):
-            for j in range(4):
-                for l in range(j + 1, 4):
-                    minor = m[i, j] * m[k, l] - m[i, l] * m[k, j]
-                    assert abs(minor) < 1e-12
+    assert abs(ccs_inner(level_vec, h @ level_vec) - 0.35) < 1e-15
 
 
 # ------------------------------------------- reconstruct and completeness
@@ -190,7 +158,7 @@ def test_bilinear_gram_is_identity_but_hermitian_gram_is_not(rng):
 
 def test_spectral_ops_refuse_broken_blocks():
     spec = HamiltonianSpec([PTBlock(r=2.0, theta=math.pi / 2, s=1.0)])
-    spectra = full_spectrum(spec, allow_broken=True)
+    spectra = full_spectrum(spec)
     with pytest.raises(NotUnbrokenError):
         reconstruct(spectra)
     with pytest.raises(NotUnbrokenError):

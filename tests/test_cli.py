@@ -44,6 +44,28 @@ BROKEN_DOC = {
     ]
 }
 
+EXCEPTIONAL_DOC = {
+    "blocks": [
+        {"kind": "pt2", "r": 1.0, "theta": 1.5707963267948966, "s": 1.0},
+        {"kind": "level", "a": 0.5},
+    ]
+}
+
+# (config, stderr) of every command that needs eigenvectors on a system that
+# has a block outside the unbroken phase
+PHASE_ERRORS = [
+    (
+        BROKEN_DOC,
+        "ptsym: phase error: block 1 is broken; eigenvectors exist only in the "
+        "unbroken phase (eigenvalues-only spectra are still available)\n",
+    ),
+    (
+        EXCEPTIONAL_DOC,
+        "ptsym: phase error: block 0 is exceptional; eigenvectors exist only in the "
+        "unbroken phase (eigenvalues-only spectra are still available)\n",
+    ),
+]
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -202,6 +224,17 @@ def test_spectrum_reports_broken_blocks(tmp_path, capsys):
     assert repr(-math.sqrt(3.0)) in out
 
 
+def test_spectrum_of_a_large_broken_block_is_finite(tmp_path, capsys):
+    # r^2 sin^2(theta) overflows a double here; the width of the pair must not
+    doc = {"blocks": [{"kind": "pt2", "r": 1e200, "theta": 1.5707963267948966, "s": 1e199}]}
+    code, out, err = run_cli(capsys, "spectrum", write_config(tmp_path, doc))
+    assert (code, err) == (0, "")
+    values = out.splitlines()[1].split(" E ")[1].split()
+    widths = sorted(float(z.strip("()").split(",")[1]) for z in values)
+    width = 1e200 * math.sqrt(0.99)
+    assert widths == [pytest.approx(-width, rel=1e-15), pytest.approx(width, rel=1e-15)]
+
+
 def test_spectrum_vectors_flag(tmp_path, capsys):
     path = write_config(tmp_path, UNBROKEN_DOC)
     code, out, _ = run_cli(capsys, "spectrum", path, "--vectors")
@@ -253,11 +286,10 @@ def test_operators_hermitian_limit_C_equals_P(tmp_path, capsys):
 
 
 def test_operators_on_broken_spec_is_phase_error(tmp_path, capsys):
-    path = write_config(tmp_path, BROKEN_DOC)
-    code, out, err = run_cli(capsys, "operators", path)
-    assert code == 3
-    assert "block 1" in err
-    assert out == ""
+    for doc, message in PHASE_ERRORS:
+        path = write_config(tmp_path, doc)
+        for which in ([], ["--which", "C"], ["--which", "P"], ["--which", "T"]):
+            assert run_cli(capsys, "operators", path, *which) == (3, "", message), which
 
 
 # ------------------------------------------------------------------ verify
@@ -295,11 +327,10 @@ def test_verify_is_deterministic(tmp_path, capsys):
 
 
 def test_verify_broken_spec_exits_3(tmp_path, capsys):
-    path = write_config(tmp_path, BROKEN_DOC)
-    code, out, err = run_cli(capsys, "verify", path)
-    assert code == 3
-    assert "phase error" in err
-    assert "block 1" in err
+    for doc, message in PHASE_ERRORS:
+        path = write_config(tmp_path, doc)
+        for command in ("verify", "cfrac"):
+            assert run_cli(capsys, command, path) == (3, "", message), command
 
 
 def test_verify_impossible_tolerance_fails(tmp_path, capsys):

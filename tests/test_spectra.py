@@ -13,12 +13,12 @@ from ptsym import (
     PTBlock,
     RealLevel,
     assemble,
+    build_C,
     classify,
     eigen_block,
     eigen_broken,
     full_spectrum,
     max_abs,
-    phase_angle,
 )
 
 
@@ -129,10 +129,10 @@ def test_eigen_block_refuses_other_phases():
         eigen_block(PTBlock(r=1.0, theta=math.pi / 2, s=1.0))
 
 
-def test_phase_angle_principal_branch(rng):
+def test_eigen_block_phi_principal_branch(rng):
     for _ in range(100):
         block = random_unbroken_block(rng)
-        phi = phase_angle(block)
+        phi = eigen_block(block).phi
         assert -math.pi / 2 < phi < math.pi / 2
         assert block.r * math.sin(block.theta) == pytest.approx(
             block.s * math.sin(phi), abs=1e-12
@@ -243,15 +243,17 @@ def test_full_spectrum_vectors_vanish_outside_block():
 
 
 def test_full_spectrum_strict_raises_with_block_name():
+    # full_spectrum describes every block; the eigenvector consumers refuse
     spec = HamiltonianSpec([PTBlock(r=1.0, theta=0.1, s=4.0), PTBlock(r=2.0, theta=math.pi / 2, s=1.0)])
-    with pytest.raises(NotUnbrokenError, match="block 1"):
-        full_spectrum(spec)
+    spectra = full_spectrum(spec)
+    with pytest.raises(NotUnbrokenError, match="block 1 is broken"):
+        build_C(spectra)
 
 
 def test_full_spectrum_tolerant_mode_reports_broken_values():
     broken = PTBlock(r=2.0, theta=math.pi / 2, s=1.0)
     spec = HamiltonianSpec([PTBlock(r=1.0, theta=0.1, s=4.0), broken])
-    spectra = full_spectrum(spec, allow_broken=True)
+    spectra = full_spectrum(spec)
     assert spectra[1].phase is Phase.BROKEN
     assert spectra[1].pairs == ()
     assert spectra[1].values[0] == spectra[1].values[1].conjugate()
@@ -259,7 +261,7 @@ def test_full_spectrum_tolerant_mode_reports_broken_values():
 
 def test_full_spectrum_tolerant_mode_exceptional_degenerate():
     exceptional = PTBlock(r=1.0, theta=math.pi / 2, s=1.0)
-    spectra = full_spectrum(HamiltonianSpec([exceptional]), allow_broken=True)
+    spectra = full_spectrum(HamiltonianSpec([exceptional]))
     assert spectra[0].phase is Phase.EXCEPTIONAL
     assert spectra[0].pairs == ()
     assert spectra[0].values[0] == spectra[0].values[1]

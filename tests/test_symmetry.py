@@ -100,7 +100,7 @@ def test_build_C_level_contributes_plus_one():
 def test_build_C_requires_unbroken():
     spec = HamiltonianSpec([PTBlock(r=2.0, theta=math.pi / 2, s=1.0)])
     with pytest.raises(NotUnbrokenError):
-        build_C(full_spectrum(spec, allow_broken=True))
+        build_C(full_spectrum(spec))
 
 
 def test_build_C_real_only_in_hermitian_limit():

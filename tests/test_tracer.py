@@ -32,20 +32,38 @@ def test_every_traced_name_resolves(tracer, modules):
             assert callable(getattr(modules[layer], name, None)), f"ptsym.{layer}.{name}"
 
 
-def test_verify_builds_each_operator_once(tracer, modules, tmp_path):
-    doc = {
-        "blocks": [
-            {"kind": "pt2", "r": 1.0, "theta": 0.5, "s": 1.2},
-            {"kind": "pt2", "r": 2.0, "theta": -0.3, "s": 2.5},
-            {"kind": "level", "a": 0.75},
-        ]
-    }
+DOC = {
+    "blocks": [
+        {"kind": "pt2", "r": 1.0, "theta": 0.5, "s": 1.2},
+        {"kind": "pt2", "r": 2.0, "theta": -0.3, "s": 2.5},
+        {"kind": "level", "a": 0.75},
+    ]
+}
+
+
+def traced_calls(tracer, modules, tmp_path, command, *options):
+    """Run the CLI on ``DOC`` under the tracer; count the calls of each traced name."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(DOC))
     spans = tracer.Tracer(modules)
     with spans, redirect_stdout(StringIO()):
-        assert modules["cli"].main(["verify", str(path)]) == 0
-    calls = Counter(name for name, *_ in spans.spans)
+        assert modules["cli"].main([command, str(path), *options]) == 0
+    return Counter(name for name, *_ in spans.spans)
+
+
+def test_verify_builds_each_operator_once(tracer, modules, tmp_path):
+    calls = traced_calls(tracer, modules, tmp_path, "verify")
     assert calls["symmetry.build_C"] == 1
     assert calls["symmetry.build_P"] == 1
     assert calls["symmetry.verify_cpt"] == 1
+
+
+@pytest.mark.parametrize(
+    "which, p_builds", [((), 1), (("--which", "P"), 1), (("--which", "C"), 0), (("--which", "T"), 0)]
+)
+def test_operators_builds_P_only_when_printed(tracer, modules, tmp_path, which, p_builds):
+    calls = traced_calls(tracer, modules, tmp_path, "operators", *which)
+    assert calls["symmetry.build_C"] == 1
+    assert calls["symmetry.build_P"] == p_builds
+    # the Gram inversion inside build_P is the command's only inversion
+    assert calls["linalg.mat_inverse"] == p_builds
