@@ -15,9 +15,10 @@ row per line with ``(<re>,<im>)`` entries in shortest round-trip decimal,
 and verification lines in the fixed grammar
 ``CHECK <name> residual=<%.3e> tol=<%.3e> <PASS|FAIL>``.
 
-Exit codes: 0 all checks pass, 1 any FAIL (or a continued-fraction pole),
-2 config error, 3 phase error (operators/verify/cfrac on a system with a
-non-unbroken block; diagnostics on stderr name the block).
+Exit codes: 0 all checks pass, 1 any FAIL (or a continued-fraction pole,
+or a system too large for memory), 2 config error, 3 phase error
+(operators/verify/cfrac on a system with a non-unbroken block; diagnostics
+on stderr name the block).
 """
 
 from __future__ import annotations
@@ -354,4 +355,7 @@ def main(argv=None) -> int:
         return 3
     except SingularMatrixError as exc:
         print(f"ptsym: {exc}", file=err)
+        return 1
+    except MemoryError as exc:
+        print(f"ptsym: out of memory: {exc}", file=err)
         return 1

@@ -1,9 +1,9 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense complex linear algebra.
 
 Everything in this package runs on plain ``numpy`` arrays of dtype
-``complex128``.  Systems are tiny (N <= ~64), so inversion is done with
-explicit partial-pivot Gauss-Jordan elimination: unlike a library inverse,
-it carries a hard pivot threshold and raises :class:`SingularMatrixError`
+``complex128``.  Inversion is explicit partial-pivot Gauss-Jordan
+elimination for its hard pivot threshold: unlike a library inverse, it
+raises :class:`SingularMatrixError` at a pivot below that threshold
 instead of silently returning a garbage inverse near a pole.
 """
 

@@ -55,6 +55,9 @@ class PTBlock:
             raise ValueError(f"PTBlock.s must be > 0, got {self.s!r}")
         if self.r < 0:
             raise ValueError(f"PTBlock.r must be >= 0, got {self.r!r}")
+        # every eigenvalue modulus is at most r + s, so this bounds them all
+        if not math.isfinite(self.r + self.s):
+            raise ValueError(f"PTBlock.r + s must be finite, got {self.r!r} + {self.s!r}")
 
 
 @dataclass(frozen=True)

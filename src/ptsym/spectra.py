@@ -16,6 +16,10 @@ coalesce and the matrix is defective; beyond it the eigenvalues form a
 complex-conjugate pair.  The phase convention is fixed exactly as above so
 that operator constructions downstream come out entrywise, not merely up
 to gauge.
+
+One builder classifies each block by |r sin(theta)| / s and computes its
+closed form once; :func:`full_spectrum`, :func:`eigen_block` and
+:func:`eigen_broken` all read its result.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    HamiltonianSpec,
-    PTBlock,
-    RealLevel,
-    block_offsets,
-)
+from .model import Block, HamiltonianSpec, PTBlock, RealLevel, block_offsets
 
 __all__ = [
     "Phase",
@@ -77,14 +76,13 @@ class EigenPair:
     lower branch; it is the eigenvalue of the C operator on this state.
     ``vector`` holds only the block's own entries (length 2 for a block,
     1 for a level), stored read-only; ``offset`` is the index in [0, N) of
-    its first entry.  Every other entry of the full eigenvector is zero, so
-    :meth:`embedded` recovers it.
+    its first entry, and every other entry is zero (see :meth:`embedded`).
+    The pair's block is the ``block_id`` of the spectrum that holds it.
     """
 
     value: complex
     vector: np.ndarray
     sign_index: int
-    block_id: int
     offset: int = 0
 
     def __post_init__(self):
@@ -126,11 +124,42 @@ def classify(block: PTBlock) -> Phase:
     return Phase.UNBROKEN if x < block.s else Phase.BROKEN
 
 
+def _block_spectrum(block: Block, block_id: int, offset: int) -> BlockSpectrum:
+    """The closed form of one block or level in its phase, pairs placed at ``offset``."""
+    if isinstance(block, RealLevel):
+        value = complex(block.a)
+        pair = EigenPair(value, np.ones(1), +1, offset)
+        return BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,))
+    phase = classify(block)
+    base = block.r * math.cos(block.theta)
+    if phase is Phase.EXCEPTIONAL:
+        # doubly-degenerate real eigenvalue, defective matrix
+        value = complex(base)
+        return BlockSpectrum(block_id, phase, None, (), (value, value))
+    if phase is Phase.BROKEN:
+        x = abs(block.r * math.sin(block.theta))
+        t = block.s / x
+        upper = complex(base, x * math.sqrt((1.0 - t) * (1.0 + t)))
+        return BlockSpectrum(block_id, phase, None, (), (upper, upper.conjugate()))
+    phi = math.asin(block.r * math.sin(block.theta) / block.s)
+    scale = 1.0 / math.sqrt(2.0 * math.cos(phi))
+    half = cmath.exp(0.5j * phi)
+    split = block.s * math.cos(phi)
+    e_plus = complex(base + split)
+    e_minus = complex(base - split)
+    pairs = (
+        EigenPair(e_plus, scale * np.array([half, half.conjugate()]), +1, offset),
+        EigenPair(e_minus, scale * np.array([half.conjugate(), -half]), -1, offset),
+    )
+    return BlockSpectrum(block_id, phase, phi, pairs, (e_plus, e_minus))
+
+
 def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
-    """Closed-form eigenvalues and bilinear-normalised eigenvectors.
+    """Closed-form eigenvalues and bilinear-normalised eigenvectors of one block.
 
     Only defined in the unbroken phase, where both eigenvalues are real and
     ``phi`` is the principal-branch angle with sin(phi) = r sin(theta) / s.
+    The pairs sit at offset 0, as if the block were the whole system.
 
     Raises
     ------
@@ -138,25 +167,12 @@ def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
         If the block is exceptional or broken (the normalisation
         1/sqrt(2 cos phi) diverges at the exceptional point).
     """
-    phase = classify(block)
-    if phase is not Phase.UNBROKEN:
+    bs = _block_spectrum(block, block_id, 0)
+    if bs.phase is not Phase.UNBROKEN:
         raise NotUnbrokenError(
-            f"block {block_id} is {phase.value}; eigen_block needs the unbroken phase"
+            f"block {block_id} is {bs.phase.value}; eigen_block needs the unbroken phase"
         )
-    phi = math.asin(block.r * math.sin(block.theta) / block.s)
-    scale = 1.0 / math.sqrt(2.0 * math.cos(phi))
-    half = cmath.exp(0.5j * phi)
-    plus_vec = scale * np.array([half, half.conjugate()], dtype=np.complex128)
-    minus_vec = scale * np.array([half.conjugate(), -half], dtype=np.complex128)
-    base = block.r * math.cos(block.theta)
-    split = block.s * math.cos(phi)
-    e_plus = complex(base + split)
-    e_minus = complex(base - split)
-    pairs = (
-        EigenPair(e_plus, plus_vec, +1, block_id),
-        EigenPair(e_minus, minus_vec, -1, block_id),
-    )
-    return BlockSpectrum(block_id, Phase.UNBROKEN, phi, pairs, (e_plus, e_minus))
+    return bs
 
 
 def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
@@ -172,17 +188,14 @@ def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
     NotBrokenError
         If the block is not in the broken phase.
     """
-    if classify(block) is not Phase.BROKEN:
+    bs = _block_spectrum(block, 0, 0)
+    if bs.phase is not Phase.BROKEN:
         raise NotBrokenError("eigen_broken needs a broken-phase block")
-    x = abs(block.r * math.sin(block.theta))
-    t = block.s / x
-    width = x * math.sqrt((1.0 - t) * (1.0 + t))
-    upper = complex(block.r * math.cos(block.theta), width)
-    return upper, upper.conjugate()
+    return bs.values
 
 
 def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:
-    """Per-block spectra, each eigenpair tagged with its block's offset.
+    """Per-block spectra, in block order, each eigenpair at its block's offset.
 
     Eigenvectors keep only their block's entries; ``pair.offset`` places
     them in the full dimension N (see :meth:`EigenPair.embedded`).  A real
@@ -193,27 +206,5 @@ def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:
     eigenvalues-only (empty ``pairs``); whatever needs their eigenvectors
     refuses them (see :mod:`ptsym.ccs`).
     """
-    out: list[BlockSpectrum] = []
-    for block_id, (block, (start, _width)) in enumerate(
-        zip(spec.blocks, block_offsets(spec))
-    ):
-        if isinstance(block, RealLevel):
-            value = complex(block.a)
-            pair = EigenPair(value, np.ones(1), +1, block_id, start)
-            out.append(BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,)))
-            continue
-        phase = classify(block)
-        if phase is Phase.UNBROKEN:
-            local = eigen_block(block, block_id)
-            pairs = tuple(
-                EigenPair(p.value, p.vector, p.sign_index, block_id, start)
-                for p in local.pairs
-            )
-            out.append(BlockSpectrum(block_id, phase, local.phi, pairs, local.values))
-        elif phase is Phase.BROKEN:
-            out.append(BlockSpectrum(block_id, phase, None, (), eigen_broken(block)))
-        else:
-            # Exceptional: doubly-degenerate real eigenvalue, defective matrix.
-            value = complex(block.r * math.cos(block.theta))
-            out.append(BlockSpectrum(block_id, phase, None, (), (value, value)))
-    return out
+    starts = [start for start, _width in block_offsets(spec)]
+    return [_block_spectrum(b, i, starts[i]) for i, b in enumerate(spec.blocks)]

@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ccs import _blockwise_sum, ccs_inner
-from .linalg import SingularMatrixError, as_cmatrix, frob_norm, max_abs, mat_inverse
-from .model import HamiltonianSpec, block_offsets, dimension
+from .ccs import _blockwise_sum, _check_unbroken, ccs_inner
+from .linalg import SingularMatrixError, as_cmatrix, direct_sum, frob_norm, max_abs, mat_inverse
+from .model import HamiltonianSpec, block_width
 from .spectra import BlockSpectrum
 
 __all__ = [
@@ -70,15 +70,8 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
     Unlike :func:`build_P` this needs no spectral data, so it is available
     in every phase; on all-unbroken systems the two agree.
     """
-    n = dimension(spec)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for start, width in block_offsets(spec):
-        if width == 2:
-            out[start, start + 1] = 1.0
-            out[start + 1, start] = 1.0
-        else:
-            out[start, start] = 1.0
-    return out
+    exchange, one = np.array([[0, 1], [1, 0]]), np.ones((1, 1))
+    return direct_sum([exchange if block_width(b) == 2 else one for b in spec.blocks])
 
 
 def commutator_norm(h, m) -> float:
@@ -122,8 +115,11 @@ def c_expectations(
     Each pair's local vector meets only C's diagonal block at its offset;
     the rest of the full eigenvector is zero.  Each element comes out equal
     to the pair's sign index (+1 or -1).  Labels are ``block<id>+`` /
-    ``block<id>-``.
+    ``block<id>-``.  Like C itself, it refuses a spectrum with a block
+    that is not unbroken.
     """
+    spectra = list(spectra)
+    _check_unbroken(spectra)
     c_matrix = as_cmatrix(c_matrix)
     out = []
     for bs in spectra:

@@ -435,6 +435,30 @@ def test_number_too_large_for_a_float_exits_2(tmp_path, capsys, doc, field):
     assert err.startswith(f"ptsym: config error: {field}: ")
 
 
+def test_overflowing_eigenvalues_exit_2(tmp_path, capsys):
+    # r + s overflows, so E = r cos(theta) + s cos(phi) would print as inf
+    doc = {"blocks": [{"kind": "pt2", "r": 1e308, "theta": 0.0, "s": 1e308}]}
+    path = write_config(tmp_path, doc)
+    for command in ("build", "spectrum", "operators", "verify", "cfrac"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("ptsym: config error: blocks[0]: "), command
+
+
+def test_out_of_memory_is_one_stderr_line(tmp_path, capsys, monkeypatch):
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+    monkeypatch.setattr(ptsym.cli, "assemble", too_large)
+    path = write_config(tmp_path, UNBROKEN_DOC)
+    for command in ("build", "verify", "cfrac"):
+        assert run_cli(capsys, command, path) == (
+            1,
+            "",
+            "ptsym: out of memory: Unable to allocate 23.8 GiB for an array\n",
+        ), command
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_nonfinite_tol_flag_exits_2(tmp_path, capsys, value):
     path = write_config(tmp_path, UNBROKEN_DOC)

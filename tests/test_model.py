@@ -116,6 +116,9 @@ def test_block_validation():
         PTBlock(r=-0.1, theta=0.0, s=1.0)
     with pytest.raises(ValueError, match="finite"):
         PTBlock(r=np.nan, theta=0.0, s=1.0)
+    # every eigenvalue modulus is at most r + s
+    with pytest.raises(ValueError, match=r"r \+ s must be finite"):
+        PTBlock(r=1e308, theta=0.0, s=1e308)
     with pytest.raises(ValueError, match="finite"):
         RealLevel(a=np.inf)
 

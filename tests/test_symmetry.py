@@ -267,11 +267,19 @@ def test_c_expectations_are_sign_indices(rng):
     )
     _, spectra, c, _ = operators_for(spec)
     results = c_expectations(spectra, c)
-    pairs = [p for bs in spectra for p in bs.pairs]
+    pairs = [(bs.block_id, p) for bs in spectra for p in bs.pairs]
     assert len(results) == len(pairs)
-    for (label, value), pair in zip(results, pairs):
+    for (label, value), (block_id, pair) in zip(results, pairs):
         assert abs(value - pair.sign_index) < 1e-12
-        assert label == f"block{pair.block_id}{'+' if pair.sign_index > 0 else '-'}"
+        assert label == f"block{block_id}{'+' if pair.sign_index > 0 else '-'}"
+
+
+def test_c_expectations_refuse_broken_blocks():
+    spec = HamiltonianSpec(
+        [PTBlock(r=1.0, theta=0.1, s=4.0), PTBlock(r=2.0, theta=math.pi / 2, s=1.0)]
+    )
+    with pytest.raises(NotUnbrokenError, match="block 1 is broken"):
+        c_expectations(full_spectrum(spec), np.eye(4))
 
 
 def test_trace_counts_levels(rng):

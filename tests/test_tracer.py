@@ -58,6 +58,13 @@ def test_verify_builds_each_operator_once(tracer, modules, tmp_path):
     assert calls["symmetry.verify_cpt"] == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_each_block_is_classified_once(tracer, modules, tmp_path, command):
+    calls = traced_calls(tracer, modules, tmp_path, command)
+    # one call per pt2 block; levels have no phase to classify
+    assert calls["spectra.classify"] == 2
+
+
 @pytest.mark.parametrize(
     "which, p_builds", [((), 1), (("--which", "P"), 1), (("--which", "C"), 0), (("--which", "T"), 0)]
 )
