@@ -1,6 +1,8 @@
 """Process entry point shared by ``python -m ptsym`` and the ``ptsym`` script."""
 
 import gc
+import os
+import sys
 
 from .cli import main
 
@@ -9,7 +11,16 @@ def run() -> int:
     """Run the CLI on ``sys.argv`` as a whole process; return its exit code."""
     # The import-time heap lives until exit: frozen, no collection walks it again.
     gc.freeze()
-    return main()
+    try:
+        code = main()
+        # flush here, so a reader that closed stdout early is caught below
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit; point it at devnull so that cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ptsym: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

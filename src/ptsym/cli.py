@@ -1,7 +1,7 @@
 """Command-line frontend.
 
     ptsym <build|spectrum|operators|verify|cfrac> <config-path>
-          [--tol X] [--vectors] [--which C|P|T]
+          [--tol X (verify, cfrac)] [--vectors (spectrum)] [--which C|P|T (operators)]
 
 The config file is JSON with a ``blocks`` array of
 ``{"kind": "pt2", "r": .., "theta": .., "s": ..}`` (theta in radians) or
@@ -16,7 +16,7 @@ and verification lines in the fixed grammar
 ``CHECK <name> residual=<%.3e> tol=<%.3e> <PASS|FAIL>``.
 
 Exit codes: 0 all checks pass, 1 any FAIL (or a continued-fraction pole,
-or a system too large for memory), 2 config error, 3 phase error
+a system too large for memory, or a closed stdout), 2 config error, 3 phase error
 (operators/verify/cfrac on a system with a non-unbroken block; diagnostics
 on stderr name the block).
 """
@@ -46,7 +46,7 @@ from .symmetry import (
     verify_cpt,
 )
 
-__all__ = ["RunConfig", "ParseError", "ValidationError", "parse_config", "main"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "main"]
 
 # The continued-fraction identities hold to a looser bound than the
 # closed-form ones (nested inversions accumulate error), so the cfrac
@@ -54,20 +54,17 @@ __all__ = ["RunConfig", "ParseError", "ValidationError", "parse_config", "main"]
 CFRAC_TOL_FACTOR = 100.0
 # cfrac runs `cfrac_depth` N x N inversions, so the depth is bounded.
 MAX_CFRAC_DEPTH = 1000
-# The keys each config object may hold.
+# The keys a config's top level may hold, and for each block kind: its class,
+# the number fields in the order the class takes them, and the keys it may hold.
 _TOP_KEYS = frozenset({"blocks", "beta", "cfrac_depth", "tol"})
-_BLOCK_KEYS = {
-    "pt2": frozenset({"kind", "r", "theta", "s"}),
-    "level": frozenset({"kind", "a"}),
+_BLOCK_KINDS = {
+    kind: (cls, fields, frozenset({"kind", *fields}))
+    for kind, cls, fields in (("pt2", PTBlock, ("r", "theta", "s")), ("level", RealLevel, ("a",)))
 }
 
 
-class ParseError(Exception):
-    """Config document is not well-formed."""
-
-
-class ValidationError(Exception):
-    """Config document is well-formed but violates the schema."""
+class ConfigError(Exception):
+    """A config document, or the ``--tol`` that overrides its tolerance, is invalid."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +77,21 @@ class RunConfig:
 
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:
-        raise ValidationError(f"{path}: too large for a float") from None
+        raise ConfigError(f"{path}: too large for a float") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return value
+
+
+def _tolerance(value, path: str) -> float:
+    """A check tolerance: a finite number > 0."""
+    value = _as_float(value, path)
+    if value <= 0:
+        raise ConfigError(f"{path}: must be > 0, got {value}")
     return value
 
 
@@ -105,15 +110,15 @@ def _json_object(pairs: list) -> _JSONObject:
 
 def _check_keys(obj: _JSONObject, allowed: frozenset, path: str) -> None:
     if obj.repeated:
-        raise ValidationError(f"{path}: duplicate key {obj.repeated[0]!r}")
+        raise ConfigError(f"{path}: duplicate key {obj.repeated[0]!r}")
     for key in obj:
         if key not in allowed:
-            raise ValidationError(f"{path}: unknown key {key!r}")
+            raise ConfigError(f"{path}: unknown key {key!r}")
 
 
 def _require(obj: dict, field: str, path: str):
     if field not in obj:
-        raise ValidationError(f"{path}: missing field {field!r}")
+        raise ConfigError(f"{path}: missing field {field!r}")
     return obj[field]
 
 
@@ -122,51 +127,42 @@ def parse_config(text: str) -> RunConfig:
     try:
         doc = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
-        raise ParseError("nested too deeply") from None
+        raise ConfigError("nested too deeply") from None
     except ValueError as exc:
         # an integer literal longer than int() converts (sys.get_int_max_str_digits)
-        raise ParseError(str(exc)) from None
+        raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
-        raise ValidationError("top level: expected an object")
+        raise ConfigError("top level: expected an object")
     _check_keys(doc, _TOP_KEYS, "top level")
     raw_blocks = _require(doc, "blocks", "top level")
     if not isinstance(raw_blocks, list) or not raw_blocks:
-        raise ValidationError("blocks: expected a nonempty array")
+        raise ConfigError("blocks: expected a nonempty array")
     blocks = []
     for i, raw in enumerate(raw_blocks):
         path = f"blocks[{i}]"
         if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: expected an object")
+            raise ConfigError(f"{path}: expected an object")
         kind = _require(raw, "kind", path)
-        if not isinstance(kind, str) or kind not in _BLOCK_KEYS:
-            raise ValidationError(f"{path}.kind: unknown kind {kind!r}")
-        _check_keys(raw, _BLOCK_KEYS[kind], path)
+        if not isinstance(kind, str) or kind not in _BLOCK_KINDS:
+            raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
+        cls, fields, allowed = _BLOCK_KINDS[kind]
+        _check_keys(raw, allowed, path)
+        values = [_as_float(_require(raw, f, path), f"{path}.{f}") for f in fields]
         try:
-            if kind == "pt2":
-                blocks.append(
-                    PTBlock(
-                        r=_as_float(_require(raw, "r", path), f"{path}.r"),
-                        theta=_as_float(_require(raw, "theta", path), f"{path}.theta"),
-                        s=_as_float(_require(raw, "s", path), f"{path}.s"),
-                    )
-                )
-            else:
-                blocks.append(RealLevel(a=_as_float(_require(raw, "a", path), f"{path}.a")))
+            blocks.append(cls(*values))
         except ValueError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
     beta = _as_float(doc.get("beta", RunConfig.beta), "beta")
     depth = doc.get("cfrac_depth", RunConfig.cfrac_depth)
     if isinstance(depth, bool) or not isinstance(depth, int):
-        raise ValidationError(f"cfrac_depth: expected an integer, got {depth!r}")
+        raise ConfigError(f"cfrac_depth: expected an integer, got {depth!r}")
     if depth < 1:
-        raise ValidationError(f"cfrac_depth: must be >= 1, got {depth}")
+        raise ConfigError(f"cfrac_depth: must be >= 1, got {depth}")
     if depth > MAX_CFRAC_DEPTH:
-        raise ValidationError(f"cfrac_depth: must be <= {MAX_CFRAC_DEPTH}, got {depth}")
-    tol = _as_float(doc.get("tol", RunConfig.tol), "tol")
-    if tol <= 0:
-        raise ValidationError(f"tol: must be > 0, got {tol}")
+        raise ConfigError(f"cfrac_depth: must be <= {MAX_CFRAC_DEPTH}, got {depth}")
+    tol = _tolerance(doc.get("tol", RunConfig.tol), "tol")
     return RunConfig(spec=HamiltonianSpec(blocks), beta=beta, cfrac_depth=depth, tol=tol)
 
 
@@ -194,12 +190,12 @@ def _check_line(out, name: str, residual: float, tol: float) -> bool:
     return ok
 
 
-def _cmd_build(cfg: RunConfig, args, out, err) -> int:
+def _cmd_build(cfg: RunConfig, args, out) -> int:
     _dump_matrix(out, "H", assemble(cfg.spec))
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig, args, out, err) -> int:
+def _cmd_spectrum(cfg: RunConfig, args, out) -> int:
     spectra = full_spectrum(cfg.spec)
     n = dimension(cfg.spec)
     print(f"SPECTRUM N {n} BLOCKS {len(spectra)}", file=out)
@@ -223,7 +219,7 @@ def _cmd_spectrum(cfg: RunConfig, args, out, err) -> int:
     return 0
 
 
-def _cmd_operators(cfg: RunConfig, args, out, err) -> int:
+def _cmd_operators(cfg: RunConfig, args, out) -> int:
     spectra = full_spectrum(cfg.spec)
     # C is built for every --which: build_C is the phase gate
     c = build_C(spectra)
@@ -239,7 +235,7 @@ def _cmd_operators(cfg: RunConfig, args, out, err) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args, out, err) -> int:
+def _cmd_verify(cfg: RunConfig, args, out) -> int:
     tol = cfg.tol
     spec = cfg.spec
     h = assemble(spec)
@@ -281,7 +277,7 @@ def _cmd_verify(cfg: RunConfig, args, out, err) -> int:
     return 0 if ok else 1
 
 
-def _cmd_cfrac(cfg: RunConfig, args, out, err) -> int:
+def _cmd_cfrac(cfg: RunConfig, args, out) -> int:
     spectra = full_spectrum(cfg.spec)
     h = assemble(cfg.spec)
     c = build_C(spectra)
@@ -311,13 +307,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON config file")
-        p.add_argument("--tol", type=float, default=None, help="override check tolerance")
-        if name == "spectrum":
+        if name in ("verify", "cfrac"):
+            p.add_argument("--tol", type=float, help="override the config's check tolerance")
+        elif name == "spectrum":
             p.add_argument("--vectors", action="store_true", help="also print eigenvectors")
-        if name == "operators":
-            p.add_argument(
-                "--which", choices=["C", "P", "T"], default=None, help="print one operator only"
-            )
+        elif name == "operators":
+            p.add_argument("--which", choices=["C", "P", "T"], help="print one operator only")
     return parser
 
 
@@ -336,20 +331,14 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-    except (ParseError, ValidationError) as exc:
+        if getattr(args, "tol", None) is not None:
+            cfg = replace(cfg, tol=_tolerance(args.tol, "--tol"))
+    except ConfigError as exc:
         print(f"ptsym: config error: {exc}", file=err)
         return 2
-    if args.tol is not None:
-        if not math.isfinite(args.tol) or args.tol <= 0:
-            print(
-                f"ptsym: config error: --tol must be finite and > 0, got {args.tol}",
-                file=err,
-            )
-            return 2
-        cfg = replace(cfg, tol=args.tol)
 
     try:
-        return _COMMANDS[args.command][0](cfg, args, out, err)
+        return _COMMANDS[args.command][0](cfg, args, out)
     except NotUnbrokenError as exc:
         print(f"ptsym: phase error: {exc}", file=err)
         return 3

@@ -25,6 +25,7 @@ function of C that inherits every commutation relation C satisfies.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -74,13 +75,26 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
     return direct_sum([exchange if block_width(b) == 2 else one for b in spec.blocks])
 
 
+def _unit_scaled(h) -> tuple[np.ndarray, float]:
+    """H divided by the power of two 2**k >= max|H|, and 2**k.
+
+    No product of the scaled H with a moderate matrix overflows, and a
+    power-of-two scale is exact short of underflow: a residual computed
+    from the scaled H and multiplied by 2**k is the unscaled residual bit
+    for bit wherever that one is finite.
+    """
+    h = as_cmatrix(h)
+    scale = math.ldexp(1.0, math.frexp(max_abs(h))[1])
+    return h / scale, scale
+
+
 def commutator_norm(h, m) -> float:
     """Frobenius norm of H M - M H."""
-    h = as_cmatrix(h)
+    h, scale = _unit_scaled(h)
     m = as_cmatrix(m)
     if h.shape != m.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"need equal square shapes, got {h.shape} and {m.shape}")
-    return frob_norm(h @ m - m @ h)
+    return frob_norm(h @ m - m @ h) * scale
 
 
 def antilinear_commutator_norm(h, a) -> float:
@@ -88,11 +102,11 @@ def antilinear_commutator_norm(h, a) -> float:
 
     ``a`` is the linear part A; K is entrywise conjugation.
     """
-    h = as_cmatrix(h)
+    h, scale = _unit_scaled(h)
     a = as_cmatrix(a)
     if h.shape != a.shape:
         raise ValueError(f"dimension mismatch: {h.shape} vs {a.shape}")
-    return frob_norm(h @ a - a @ np.conj(h))
+    return frob_norm(h @ a - a @ np.conj(h)) * scale
 
 
 def verify_cpt(h, c_matrix, p_matrix) -> float:
@@ -102,9 +116,9 @@ def verify_cpt(h, c_matrix, p_matrix) -> float:
     conj(A^{-1} M A).  T is I K, so the full conjugation chain is
     conj(P^{-1} C^{-1} H C P).
     """
-    h = as_cmatrix(h)
+    h, scale = _unit_scaled(h)
     inner = mat_inverse(c_matrix) @ h @ c_matrix
-    return max_abs(np.conj(mat_inverse(p_matrix) @ inner @ p_matrix) - h)
+    return max_abs(np.conj(mat_inverse(p_matrix) @ inner @ p_matrix) - h) * scale
 
 
 def c_expectations(

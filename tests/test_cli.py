@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -16,14 +17,7 @@ from hypothesis import strategies as st
 
 import ptsym
 from ptsym import HamiltonianSpec, PTBlock, RealLevel, assemble, max_abs
-from ptsym.cli import (
-    MAX_CFRAC_DEPTH,
-    ParseError,
-    RunConfig,
-    ValidationError,
-    main,
-    parse_config,
-)
+from ptsym.cli import MAX_CFRAC_DEPTH, ConfigError, RunConfig, main, parse_config
 
 CHECK_RE = re.compile(
     r"^CHECK [A-Za-z_]+ residual=\d\.\d{3}e[+-]\d{2,3} tol=\d\.\d{3}e[+-]\d{2,3} (PASS|FAIL)$"
@@ -107,31 +101,31 @@ def test_parse_optional_fields():
 
 def test_parse_rejects_nonpositive_coupling():
     doc = {"blocks": [{"kind": "pt2", "r": 1.0, "theta": 0.0, "s": 0.0}]}
-    with pytest.raises(ValidationError, match=r"blocks\[0\]"):
+    with pytest.raises(ConfigError, match=r"blocks\[0\]"):
         parse_config(json.dumps(doc))
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ParseError, match="line 1"):
+    with pytest.raises(ConfigError, match="line 1"):
         parse_config('{"blocks": [')
 
 
 def test_parse_rejects_bad_schema():
-    with pytest.raises(ValidationError, match="missing field 'blocks'"):
+    with pytest.raises(ConfigError, match="missing field 'blocks'"):
         parse_config("{}")
-    with pytest.raises(ValidationError, match="nonempty"):
+    with pytest.raises(ConfigError, match="nonempty"):
         parse_config('{"blocks": []}')
-    with pytest.raises(ValidationError, match="unknown kind"):
+    with pytest.raises(ConfigError, match="unknown kind"):
         parse_config('{"blocks": [{"kind": "pt3"}]}')
-    with pytest.raises(ValidationError, match="missing field 's'"):
+    with pytest.raises(ConfigError, match="missing field 's'"):
         parse_config('{"blocks": [{"kind": "pt2", "r": 1.0, "theta": 0.0}]}')
-    with pytest.raises(ValidationError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         parse_config('{"blocks": [{"kind": "level", "a": Infinity}]}')
-    with pytest.raises(ValidationError, match="tol"):
+    with pytest.raises(ConfigError, match="tol"):
         parse_config(json.dumps(dict(UNBROKEN_DOC, tol=0.0)))
-    with pytest.raises(ValidationError, match="cfrac_depth"):
+    with pytest.raises(ConfigError, match="cfrac_depth"):
         parse_config(json.dumps(dict(UNBROKEN_DOC, cfrac_depth=0)))
-    with pytest.raises(ValidationError, match="expected a number"):
+    with pytest.raises(ConfigError, match="expected a number"):
         parse_config(json.dumps(dict(UNBROKEN_DOC, beta=True)))
 
 
@@ -139,7 +133,7 @@ def test_parse_bounds_cfrac_depth():
     doc = dict(UNBROKEN_DOC, cfrac_depth=MAX_CFRAC_DEPTH)
     assert parse_config(json.dumps(doc)).cfrac_depth == MAX_CFRAC_DEPTH
     for depth in (MAX_CFRAC_DEPTH + 1, 10**400):
-        with pytest.raises(ValidationError, match="cfrac_depth: must be <="):
+        with pytest.raises(ConfigError, match="cfrac_depth: must be <="):
             parse_config(json.dumps(dict(UNBROKEN_DOC, cfrac_depth=depth)))
 
 
@@ -172,7 +166,7 @@ config_bytes = st.binary(max_size=64) | config_docs.map(lambda doc: json.dumps(d
 def test_parse_config_raises_only_config_errors(text):
     try:
         parse_config(text)
-    except (ParseError, ValidationError):
+    except ConfigError:
         pass
 
 
@@ -459,13 +453,22 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, capsys, monkeypatch):
         ), command
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
 def test_nonfinite_tol_flag_exits_2(tmp_path, capsys, value):
     path = write_config(tmp_path, UNBROKEN_DOC)
     code, out, err = run_cli(capsys, "verify", path, f"--tol={value}")
     assert code == 2
     assert out == ""
     assert err.startswith("ptsym: config error: --tol")
+
+
+@pytest.mark.parametrize("command", ["build", "spectrum", "operators"])
+def test_tol_flag_only_on_commands_that_read_it(tmp_path, capsys, command):
+    path = write_config(tmp_path, UNBROKEN_DOC)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, path, "--tol", "1e-9"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ------------------------------------------------------------------- cfrac
@@ -496,13 +499,18 @@ def test_cfrac_pole_exits_1(tmp_path, capsys):
 # ------------------------------------------------------------ entry points
 
 
-def run_module(*argv):
-    """Run ``python -m ptsym`` on ``argv`` as a child process, bytes captured."""
-    # the child imports the same ptsym as this process, installed or not
+def module_env():
+    """An environment in which a child process imports the same ptsym as this one."""
     src = os.path.dirname(os.path.dirname(ptsym.__file__))
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    return subprocess.run([sys.executable, "-m", "ptsym", *argv], capture_output=True, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+
+
+def run_module(*argv):
+    """Run ``python -m ptsym`` on ``argv`` as a child process, bytes captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "ptsym", *argv], capture_output=True, env=module_env()
+    )
 
 
 def test_module_entry_point(tmp_path, capsys):
@@ -537,22 +545,49 @@ def test_usage_error_exits_2():
 
 
 def test_entries_near_the_float_limit_leave_stderr_empty(tmp_path):
-    # squaring an entry above ~1.3e154 overflows; no residual may do that
-    doc = {
-        "blocks": [
-            {"kind": "pt2", "r": 1e300, "theta": 0.5, "s": 1e300},
-            {"kind": "level", "a": 1},
-        ]
-    }
-    path = write_config(tmp_path, doc)
-    for command in ("build", "spectrum", "operators", "verify", "cfrac"):
-        proc = run_module(command, path)
-        assert proc.stderr == b"", command
-        residuals = [
-            float(line.split()[2].removeprefix("residual="))
-            for line in proc.stdout.decode().splitlines()
-            if line.startswith("CHECK")
-        ]
-        assert all(math.isfinite(r) for r in residuals), command
-        if command == "verify":
-            assert len(residuals) == 10
+    docs = [
+        # squaring an entry above ~1.3e154 overflows; no residual may do that
+        {
+            "blocks": [
+                {"kind": "pt2", "r": 1e300, "theta": 0.5, "s": 1e300},
+                {"kind": "level", "a": 1},
+            ]
+        },
+        # near the EP, C's entries are sec(phi) ~ 7e3, so H C passes the float limit
+        {
+            "blocks": [
+                {"kind": "pt2", "r": 1e306, "theta": 1.5707963267948966, "s": 1.00000001e306}
+            ]
+        },
+    ]
+    for doc in docs:
+        path = write_config(tmp_path, doc)
+        for command in ("build", "spectrum", "operators", "verify", "cfrac"):
+            proc = run_module(command, path)
+            assert proc.stderr == b"", (doc, command)
+            residuals = [
+                float(line.split()[2].removeprefix("residual="))
+                for line in proc.stdout.decode().splitlines()
+                if line.startswith("CHECK")
+            ]
+            assert all(math.isfinite(r) for r in residuals), (doc, command)
+            if command == "verify":
+                assert len(residuals) == 10
+
+
+def test_closed_stdout_is_one_stderr_line(tmp_path):
+    # the dump of a 600 x 600 H is far larger than a pipe buffer
+    doc = {"blocks": [{"kind": "pt2", "r": 1.0, "theta": 0.5, "s": 1.2}] * 300}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ptsym", "build", write_config(tmp_path, doc)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    epipe = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+    assert err == f"ptsym: cannot write output: {epipe}\n".encode()
