@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,13 +54,16 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "main"]
 CFRAC_TOL_FACTOR = 100.0
 # cfrac runs `cfrac_depth` N x N inversions, so the depth is bounded.
 MAX_CFRAC_DEPTH = 1000
-# The keys a config's top level may hold, and for each block kind: its class,
-# the number fields in the order the class takes them, and the keys it may hold.
 _TOP_KEYS = frozenset({"blocks", "beta", "cfrac_depth", "tol"})
-_BLOCK_KINDS = {
-    kind: (cls, fields, frozenset({"kind", *fields}))
-    for kind, cls, fields in (("pt2", PTBlock, ("r", "theta", "s")), ("level", RealLevel, ("a",)))
-}
+
+
+def _block_kind(cls) -> tuple:
+    """``cls``, its fields in the order it takes them, and the keys its block may hold."""
+    names = tuple(f.name for f in fields(cls))
+    return cls, names, frozenset({"kind", *names})
+
+
+_BLOCK_KINDS = {"pt2": _block_kind(PTBlock), "level": _block_kind(RealLevel)}
 
 
 class ConfigError(Exception):
@@ -147,9 +150,9 @@ def parse_config(text: str) -> RunConfig:
         kind = _require(raw, "kind", path)
         if not isinstance(kind, str) or kind not in _BLOCK_KINDS:
             raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
-        cls, fields, allowed = _BLOCK_KINDS[kind]
+        cls, names, allowed = _BLOCK_KINDS[kind]
         _check_keys(raw, allowed, path)
-        values = [_as_float(_require(raw, f, path), f"{path}.{f}") for f in fields]
+        values = [_as_float(_require(raw, f, path), f"{path}.{f}") for f in names]
         try:
             blocks.append(cls(*values))
         except ValueError as exc:
@@ -242,16 +245,14 @@ def _cmd_verify(cfg: RunConfig, args, out) -> int:
     spectra = full_spectrum(spec)
     c = build_C(spectra)
     p = build_P(spectra, c)
-    pairs = [pair for bs in spectra for pair in bs.pairs]
     n = dimension(spec)
     eye = np.eye(n)
     n_levels = sum(isinstance(b, RealLevel) for b in spec.blocks)
-
-    gram = bilinear_gram(spectra)
-    expectations = c_expectations(spectra, c)
+    signs = [pair.sign_index for bs in spectra for pair in bs.pairs]
+    expectations = [value for _, value in c_expectations(spectra, c)]
 
     ok = True
-    ok &= _check_line(out, "orthonormality", max_abs(gram - eye), tol)
+    ok &= _check_line(out, "orthonormality", max_abs(bilinear_gram(spectra) - eye), tol)
     ok &= _check_line(out, "completeness", max_abs(completeness(spectra) - eye), tol)
     ok &= _check_line(out, "reconstruction", max_abs(reconstruct(spectra) - h), tol)
     ok &= _check_line(out, "c_squared", max_abs(c @ c - eye), tol)
@@ -259,21 +260,10 @@ def _cmd_verify(cfg: RunConfig, args, out) -> int:
     ok &= _check_line(out, "commutator_H_C", commutator_norm(h, c), tol)
     ok &= _check_line(out, "pt_antilinear", antilinear_commutator_norm(h, p), tol)
     ok &= _check_line(out, "cpt_identity", verify_cpt(h, c, p), tol)
-    ok &= _check_line(
-        out,
-        "c_expectations",
-        max(
-            abs(value - pair.sign_index)
-            for (_, value), pair in zip(expectations, pairs)
-        ),
-        tol,
-    )
-    ok &= _check_line(
-        out,
-        "traces",
-        max(abs(np.trace(c) - n_levels), abs(np.trace(p) - n_levels)),
-        tol,
-    )
+    c_dev = max(abs(value - sign) for value, sign in zip(expectations, signs))
+    ok &= _check_line(out, "c_expectations", c_dev, tol)
+    trace_dev = max(abs(np.trace(c) - n_levels), abs(np.trace(p) - n_levels))
+    ok &= _check_line(out, "traces", trace_dev, tol)
     return 0 if ok else 1
 
 

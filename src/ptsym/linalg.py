@@ -9,6 +9,8 @@ instead of silently returning a garbage inverse near a pole.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -89,12 +91,15 @@ def frob_norm(a) -> float:
 
     The entries are divided by the largest modulus before squaring, so no
     finite input overflows; a zero or non-finite largest modulus is the
-    norm itself.
+    norm itself.  A subnormal largest modulus is raised to the smallest
+    normal float: numpy divides a complex array by multiplying it with the
+    divisor's reciprocal, which must be a float too.
     """
     a = np.asarray(a, dtype=np.complex128)
-    scale = max_abs(a)
-    if scale == 0.0 or not np.isfinite(scale):
-        return scale
+    peak = max_abs(a)
+    if peak == 0.0 or not np.isfinite(peak):
+        return peak
+    scale = max(peak, sys.float_info.min)
     return scale * float(np.linalg.norm(a / scale))
 
 

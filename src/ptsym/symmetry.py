@@ -76,15 +76,22 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def _unit_scaled(h) -> tuple[np.ndarray, float]:
-    """H divided by the power of two 2**k >= max|H|, and 2**k.
+    """H divided by a power of two 2**k, and 2**k.
 
-    No product of the scaled H with a moderate matrix overflows, and a
-    power-of-two scale is exact short of underflow: a residual computed
-    from the scaled H and multiplied by 2**k is the unscaled residual bit
-    for bit wherever that one is finite.
+    2**k is the least power of two >= max|H|, kept between the smallest
+    normal float, 2**-1022, and the largest power of two a float holds,
+    2**1023: numpy divides a complex array by multiplying it with 1 / 2**k,
+    which must be a float too.  So every entry of the scaled H is below 2 in
+    modulus and no product of it with a moderate matrix overflows.  A
+    power-of-two scale changes no digit of a value that stays a normal
+    float: as long as no entry of the scaled H, nor of a product formed from
+    it, falls into the subnormal range, a residual computed from the scaled
+    H and multiplied by 2**k is the unscaled residual bit for bit wherever
+    that one is finite.  Entries more than about 2**1022 times smaller than
+    max|H| do become subnormal and lose digits.
     """
     h = as_cmatrix(h)
-    scale = math.ldexp(1.0, math.frexp(max_abs(h))[1])
+    scale = math.ldexp(1.0, min(max(math.frexp(max_abs(h))[1], -1022), 1023))
     return h / scale, scale
 
 

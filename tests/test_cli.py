@@ -559,6 +559,12 @@ def test_entries_near_the_float_limit_leave_stderr_empty(tmp_path):
                 {"kind": "pt2", "r": 1e306, "theta": 1.5707963267948966, "s": 1.00000001e306}
             ]
         },
+        # max|H| >= 2**1023: the power of two above it is no float
+        {"blocks": [{"kind": "level", "a": 1e308}]},
+        {"blocks": [{"kind": "pt2", "r": 1e308, "theta": 0, "s": 1}]},
+        # entries near the smallest floats: no residual may divide by a subnormal scale
+        {"blocks": [{"kind": "pt2", "r": 1e-300, "theta": 0.2, "s": 3e-300}]},
+        {"blocks": [{"kind": "level", "a": 5e-324}, {"kind": "level", "a": 0}]},
     ]
     for doc in docs:
         path = write_config(tmp_path, doc)
