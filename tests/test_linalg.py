@@ -95,9 +95,6 @@ def test_frob_norm_does_not_overflow():
     # each squared entry would be 1e600
     assert frob_norm([[1e300, 1e300]]) == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
     assert frob_norm([[np.inf, 1.0]]) == np.inf
-
-
-def test_frob_norm_of_subnormal_entries_is_finite():
     # dividing a complex array by a subnormal scale multiplies by its reciprocal, inf
     assert frob_norm([[3e-320, 4e-320j]]) == pytest.approx(5e-320, rel=1e-3)
     assert frob_norm([[5e-324]]) == 5e-324
