@@ -78,7 +78,7 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
 def _unit_scaled(h) -> tuple[np.ndarray, float]:
     """H divided by a power of two 2**k, and 2**k.
 
-    2**k is the least power of two >= max|H|, kept between the smallest
+    2**k is the least power of two above max|H|, kept between the smallest
     normal float, 2**-1022, and the largest power of two a float holds,
     2**1023: numpy divides a complex array by multiplying it with 1 / 2**k,
     which must be a float too.  So every entry of the scaled H is below 2 in
