@@ -7,35 +7,26 @@ for |r sin(theta)| < s its spectrum is entirely real:
 
 Past that coupling threshold the eigenvalues collide and move off the real
 axis as a conjugate pair.  This script walks one block through all three
-regimes.
+regimes, reading each regime's closed form from ``full_spectrum``.
 """
 
 import numpy as np
 
-from ptsym import (
-    HamiltonianSpec,
-    Phase,
-    PTBlock,
-    assemble,
-    classify,
-    eigen_block,
-    eigen_broken,
-    full_spectrum,
-)
+from ptsym import HamiltonianSpec, Phase, PTBlock, assemble, full_spectrum
 
 np.set_printoptions(precision=6, suppress=True)
 
 
 def show(title, block):
-    h = assemble(HamiltonianSpec([block]))
-    phase = classify(block)
+    spec = HamiltonianSpec([block])
+    h = assemble(spec)
+    bs = full_spectrum(spec)[0]
     print(f"\n--- {title} ---")
     print(f"parameters: r={block.r}, theta={block.theta:.4f}, s={block.s}")
     print("H =")
     print(h)
-    print("phase:", phase.value)
-    if phase is Phase.UNBROKEN:
-        bs = eigen_block(block)
+    print("phase:", bs.phase.value)
+    if bs.phase is Phase.UNBROKEN:
         print(f"phi = {bs.phi:.6f}")
         for pair in bs.pairs:
             residual = np.max(np.abs(h @ pair.vector - pair.value * pair.vector))
@@ -43,8 +34,8 @@ def show(title, block):
                 f"  E{'+' if pair.sign_index > 0 else '-'} = {pair.value.real:+.6f}"
                 f"   eigenvector residual {residual:.2e}"
             )
-    elif phase is Phase.BROKEN:
-        upper, lower = eigen_broken(block)
+    elif bs.phase is Phase.BROKEN:
+        upper, lower = bs.values
         print(f"  conjugate pair: {upper:.6f} and {lower:.6f}")
     else:
         print("  defective matrix: eigenvectors coalesce, refusing to diagonalise")

@@ -25,12 +25,9 @@ from .model import (
 from .spectra import (
     BlockSpectrum,
     EigenPair,
-    NotBrokenError,
     NotUnbrokenError,
     Phase,
     classify,
-    eigen_block,
-    eigen_broken,
     full_spectrum,
 )
 from .symmetry import (
@@ -51,7 +48,6 @@ __all__ = [
     "BlockSpectrum",
     "EigenPair",
     "HamiltonianSpec",
-    "NotBrokenError",
     "NotUnbrokenError",
     "Phase",
     "PTBlock",
@@ -72,8 +68,6 @@ __all__ = [
     "completeness",
     "dimension",
     "direct_sum",
-    "eigen_block",
-    "eigen_broken",
     "frob_norm",
     "full_spectrum",
     "mat_inverse",

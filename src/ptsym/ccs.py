@@ -17,16 +17,17 @@ kind) are refused rather than paired: every sum here, and the C and P of
 block that is not unbroken.
 
 Eigenpairs carry only their block's entries plus an offset (see
-:class:`~ptsym.spectra.EigenPair`).  The N x N sums below are therefore
-formed block by block: each pair's w x w outer product lands on its own
-diagonal block, and entries between blocks are zero by construction.
+:class:`~ptsym.spectra.EigenPair`), and the offsets must tile [0, N) in
+list order.  Each N x N sum below is therefore one w x w sum per block,
+placed by :func:`~ptsym.linalg.direct_sum`: entries between blocks are zero
+by construction and are never summed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_cvector
+from .linalg import as_cvector, direct_sum
 from .spectra import BlockSpectrum, NotUnbrokenError, Phase
 
 __all__ = [
@@ -46,10 +47,10 @@ def ccs_inner(u, v) -> complex:
     return complex(np.dot(u, v))
 
 
-def _check_unbroken(spectra: list[BlockSpectrum]) -> int:
-    """The phase gate: refuse any block that is not unbroken, then check that
-    the blocks' offsets tile [0, N); return N."""
-    spans = []
+def _check_unbroken(spectra: list[BlockSpectrum]) -> None:
+    """The phase gate: refuse any block that is not unbroken, and any list
+    whose offsets do not tile [0, N) in list order."""
+    n = 0
     for bs in spectra:
         if bs.phase is not Phase.UNBROKEN:
             raise NotUnbrokenError(
@@ -57,34 +58,22 @@ def _check_unbroken(spectra: list[BlockSpectrum]) -> int:
                 "eigenvectors exist only in the unbroken phase "
                 "(eigenvalues-only spectra are still available)"
             )
-        spans.extend({(pair.offset, pair.vector.shape[0]) for pair in bs.pairs})
-    n = 0
-    for start, width in sorted(spans):
-        if start != n:
-            raise ValueError(
-                f"eigenpair offsets do not tile [0, N): a block starts at {start}, "
-                f"expected {n}"
-            )
-        n += width
-    return n
+        for pair in bs.pairs:
+            if pair.offset != n:
+                raise ValueError(
+                    f"eigenpair offsets do not tile [0, N): a block starts at "
+                    f"{pair.offset}, expected {n}"
+                )
+        # a block of width w has w eigenpairs
+        n += len(bs.pairs)
 
 
 def _blockwise_sum(spectra, term) -> np.ndarray:
-    """The N x N sum over eigenpairs of ``term(pair)``, a w x w matrix on the
-    pair's own block ``[offset, offset + w)``.
-
-    Each term is the nonzero part of a rank-1 outer product of a full
-    eigenvector, so entries between different blocks are zero by
-    construction and are never summed.
-    """
+    """The N x N direct sum over blocks of each block's w x w sum of
+    ``term(pair)``, added in pair order."""
     spectra = list(spectra)
-    n = _check_unbroken(spectra)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            o, w = pair.offset, pair.vector.shape[0]
-            out[o : o + w, o : o + w] += term(pair)
-    return out
+    _check_unbroken(spectra)
+    return direct_sum([sum(term(pair) for pair in bs.pairs) for bs in spectra])
 
 
 def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
@@ -94,15 +83,10 @@ def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
     pairings within each block are computed; the rest are zero.
     """
     spectra = list(spectra)
-    n = _check_unbroken(spectra)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for bs in spectra:
-        for i, a in enumerate(bs.pairs):
-            for j, b in enumerate(bs.pairs):
-                out[at + i, at + j] = ccs_inner(a.vector, b.vector)
-        at += len(bs.pairs)
-    return out
+    _check_unbroken(spectra)
+    return direct_sum(
+        [[[ccs_inner(a.vector, b.vector) for b in bs.pairs] for a in bs.pairs] for bs in spectra]
+    )
 
 
 def reconstruct(spectra: list[BlockSpectrum]) -> np.ndarray:

@@ -109,16 +109,17 @@ def max_abs(a) -> float:
 
 
 def direct_sum(blocks) -> np.ndarray:
-    """Block-diagonal composition of square matrices.
+    """Block-diagonal composition of square matrices, in list order.
 
     Off-block entries are exactly zero; the result dimension is the sum of
-    the block dimensions.
+    the block dimensions.  Entries are placed as given, so a non-finite
+    entry (an overflowed spectral sum) reaches the caller's residual.
     """
-    mats = [as_cmatrix(b) for b in blocks]
+    mats = [np.asarray(b, dtype=np.complex128) for b in blocks]
     if not mats:
         raise ValueError("direct_sum of an empty block list")
     for b in mats:
-        if b.shape[0] != b.shape[1]:
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.size == 0:
             raise ValueError(f"direct_sum blocks must be square, got {b.shape}")
     n = sum(b.shape[0] for b in mats)
     out = np.zeros((n, n), dtype=np.complex128)

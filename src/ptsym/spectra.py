@@ -17,9 +17,10 @@ complex-conjugate pair.  The phase convention is fixed exactly as above so
 that operator constructions downstream come out entrywise, not merely up
 to gauge.
 
-One builder classifies each block by |r sin(theta)| / s and computes its
-closed form once; :func:`full_spectrum`, :func:`eigen_block` and
-:func:`eigen_broken` all read its result.
+:func:`full_spectrum` is the one way to a block's closed form: it
+classifies each block by |r sin(theta)| / s and computes the closed form of
+that phase once.  A single block's spectrum is
+``full_spectrum(HamiltonianSpec([block]))[0]``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ __all__ = [
     "EigenPair",
     "BlockSpectrum",
     "NotUnbrokenError",
-    "NotBrokenError",
     "EXCEPTIONAL_BAND",
     "classify",
-    "eigen_block",
-    "eigen_broken",
     "full_spectrum",
 ]
 
@@ -62,10 +60,6 @@ class Phase(enum.Enum):
 
 class NotUnbrokenError(ValueError):
     """An operation requiring real spectra met a non-unbroken block."""
-
-
-class NotBrokenError(ValueError):
-    """A broken-phase-only operation was applied to an unbroken block."""
 
 
 @dataclass(frozen=True)
@@ -137,6 +131,8 @@ def _block_spectrum(block: Block, block_id: int, offset: int) -> BlockSpectrum:
         value = complex(base)
         return BlockSpectrum(block_id, phase, None, (), (value, value))
     if phase is Phase.BROKEN:
+        # r cos(theta) +- i x sqrt((1 - t)(1 + t)), x = |r sin(theta)|, t = s / x:
+        # the width neither overflows for large x nor cancels near the EP
         x = abs(block.r * math.sin(block.theta))
         t = block.s / x
         upper = complex(base, x * math.sqrt((1.0 - t) * (1.0 + t)))
@@ -152,46 +148,6 @@ def _block_spectrum(block: Block, block_id: int, offset: int) -> BlockSpectrum:
         EigenPair(e_minus, scale * np.array([half.conjugate(), -half]), -1, offset),
     )
     return BlockSpectrum(block_id, phase, phi, pairs, (e_plus, e_minus))
-
-
-def eigen_block(block: PTBlock, block_id: int = 0) -> BlockSpectrum:
-    """Closed-form eigenvalues and bilinear-normalised eigenvectors of one block.
-
-    Only defined in the unbroken phase, where both eigenvalues are real and
-    ``phi`` is the principal-branch angle with sin(phi) = r sin(theta) / s.
-    The pairs sit at offset 0, as if the block were the whole system.
-
-    Raises
-    ------
-    NotUnbrokenError
-        If the block is exceptional or broken (the normalisation
-        1/sqrt(2 cos phi) diverges at the exceptional point).
-    """
-    bs = _block_spectrum(block, block_id, 0)
-    if bs.phase is not Phase.UNBROKEN:
-        raise NotUnbrokenError(
-            f"block {block_id} is {bs.phase.value}; eigen_block needs the unbroken phase"
-        )
-    return bs
-
-
-def eigen_broken(block: PTBlock) -> tuple[complex, complex]:
-    """Conjugate eigenvalue pair r cos(theta) +- i sqrt(r^2 sin^2(theta) - s^2).
-
-    The two returned values are exact complex conjugates of each other.  The
-    width is evaluated as x sqrt((1 - t)(1 + t)) with x = |r sin(theta)| and
-    t = s / x, which neither overflows for large x nor cancels near the
-    exceptional point.
-
-    Raises
-    ------
-    NotBrokenError
-        If the block is not in the broken phase.
-    """
-    bs = _block_spectrum(block, 0, 0)
-    if bs.phase is not Phase.BROKEN:
-        raise NotBrokenError("eigen_broken needs a broken-phase block")
-    return bs.values
 
 
 def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:

@@ -14,8 +14,9 @@ fixed as the antilinear map T = I K with K entrywise conjugation, so
 T^{-1} = T and the CPT identity applies T as a plain conjugation.  Every
 operator is a plain N x N matrix; an antilinear one, A K, is passed as its
 linear part A.  C and G are summed block by block from the block-local
-eigenpairs, like the sums in :mod:`ptsym.ccs`, and through the same phase
-gate: a spectrum with an exceptional or broken block has no C or P.
+eigenpairs and placed by :func:`~ptsym.linalg.direct_sum`, like the sums in
+:mod:`ptsym.ccs`, and through the same phase gate: a spectrum with an
+exceptional or broken block has no C or P.
 
 On top of the operators this module provides the commutation residuals
 ([H, C], antilinear [H, P K], the full C-P-T conjugation identity) and the
@@ -137,7 +138,7 @@ def c_expectations(
     the rest of the full eigenvector is zero.  Each element comes out equal
     to the pair's sign index (+1 or -1).  Labels are ``block<id>+`` /
     ``block<id>-``.  Like C itself, it refuses a spectrum with a block
-    that is not unbroken.
+    that is not unbroken, or whose offsets do not tile [0, N) in list order.
     """
     spectra = list(spectra)
     _check_unbroken(spectra)

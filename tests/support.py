@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ptsym import HamiltonianSpec, PTBlock, RealLevel
+from ptsym import HamiltonianSpec, Phase, PTBlock, RealLevel, full_spectrum
 
 
 def random_unbroken_block(rng, r_max=3.0, ratio_max=0.95):
@@ -32,6 +32,17 @@ def random_broken_block(rng, ratio_min=1.05):
             break
     s = x / (ratio_min + float(rng.uniform(0.0, 2.0)))
     return PTBlock(r=r, theta=theta, s=s)
+
+
+def single_block_spectrum(block, phase=Phase.UNBROKEN):
+    """The spectrum of ``block`` as the whole system, its pairs at offset 0.
+
+    Fails unless the block is in ``phase``, so a misclassified block cannot
+    pass a test through an empty ``pairs``.
+    """
+    bs = full_spectrum(HamiltonianSpec([block]))[0]
+    assert bs.phase is phase, f"expected {phase.value}, got {bs.phase.value}"
+    return bs
 
 
 def random_level(rng):

@@ -18,6 +18,7 @@ from support import (
     random_unbroken_block,
     random_unbroken_spec,
     scalar_cfrac_oracle,
+    single_block_spectrum,
     sort_eigs,
 )
 
@@ -37,8 +38,6 @@ from ptsym import (
     classify,
     commutator_norm,
     completeness,
-    eigen_block,
-    eigen_broken,
     frob_norm,
     full_spectrum,
     max_abs,
@@ -66,7 +65,7 @@ def test_criterion_01_eigenvalue_formula_vs_charpoly_oracle():
         block = random_unbroken_block(rng)  # r in [0,3], |r sin theta|/s <= 0.95
         h = assemble(HamiltonianSpec([block]))
         expected = eig2_oracle(h)
-        got = sort_eigs(eigen_block(block).values)
+        got = sort_eigs(single_block_spectrum(block).values)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
     report(1, "closed-form eigenvalues", worst < 1e-12, f"max dev {worst:.2e}")
 
@@ -151,10 +150,10 @@ def test_criterion_07_broken_phase_and_boundary_sweep():
     for _ in range(1000):
         block = random_broken_block(rng)
         h = assemble(HamiltonianSpec([block]))
-        got = sort_eigs(eigen_broken(block))
+        got = sort_eigs(single_block_spectrum(block, Phase.BROKEN).values)
         expected = eig2_oracle(h)
         worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
-        upper, lower = eigen_broken(block)
+        upper, lower = single_block_spectrum(block, Phase.BROKEN).values
         assert upper == lower.conjugate()
     ok = worst < 1e-10
 

@@ -14,19 +14,24 @@ import pytest
 from ptsym import (
     HamiltonianSpec,
     PTBlock,
+    RealLevel,
     bilinear_gram,
     build_C,
     build_P,
     c_expectations,
     ccs_inner,
     completeness,
-    eigen_block,
     full_spectrum,
     mat_inverse,
     max_abs,
     reconstruct,
 )
-from support import random_level, random_unbroken_block, random_unbroken_spec
+from support import (
+    random_level,
+    random_unbroken_block,
+    random_unbroken_spec,
+    single_block_spectrum,
+)
 
 
 def dense_sum(spectra, n, term):
@@ -93,8 +98,27 @@ def test_eigenvector_storage_is_linear_in_N():
 
 
 def test_offsets_must_tile():
-    # two single-block spectra both start at 0, so their blocks overlap
-    a = eigen_block(PTBlock(r=1.0, theta=0.4, s=1.2), block_id=0)
-    b = eigen_block(PTBlock(r=2.0, theta=-0.3, s=2.5), block_id=1)
-    with pytest.raises(ValueError, match="tile"):
-        completeness([a, b])
+    blocks = [PTBlock(r=1.0, theta=0.4, s=1.2), PTBlock(r=2.0, theta=-0.3, s=2.5), RealLevel(a=0.5)]
+    spectra = full_spectrum(HamiltonianSpec(blocks))
+    c = build_C(spectra)
+    refusals = [
+        completeness,
+        reconstruct,
+        build_C,
+        bilinear_gram,
+        lambda spectra: build_P(spectra, c),
+        lambda spectra: c_expectations(spectra, c),
+    ]
+    # two one-block spectra both start at 0, so their blocks overlap
+    overlapping = [single_block_spectrum(blocks[0]), single_block_spectrum(blocks[1])]
+    # a whole system's spectra out of list order: the tiling is checked in
+    # list order, so each block's place in the sums is its place in the list
+    permuted = [spectra[1], spectra[0], spectra[2]]
+    for wrong in (overlapping, permuted):
+        for refuse in refusals:
+            with pytest.raises(ValueError, match="tile"):
+                refuse(wrong)
+    # an empty list tiles nothing: no N x N sum is defined
+    for refuse in refusals[:5]:
+        with pytest.raises(ValueError, match="empty block list"):
+            refuse([])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_unbroken_block, random_unbroken_spec
+from support import random_unbroken_block, random_unbroken_spec, single_block_spectrum
 
 from ptsym import (
     HamiltonianSpec,
@@ -15,7 +15,6 @@ from ptsym import (
     assemble,
     ccs_inner,
     completeness,
-    eigen_block,
     full_spectrum,
     max_abs,
     reconstruct,
@@ -33,12 +32,12 @@ def rng():
 
 
 def test_eigenvectors_are_bilinear_normalised():
-    for pair in eigen_block(GENERIC_BLOCK).pairs:
+    for pair in single_block_spectrum(GENERIC_BLOCK).pairs:
         assert abs(ccs_inner(pair.vector, pair.vector) - 1.0) < 1e-12
 
 
 def test_eigenvectors_are_bilinear_orthogonal():
-    plus, minus = eigen_block(GENERIC_BLOCK).pairs
+    plus, minus = single_block_spectrum(GENERIC_BLOCK).pairs
     assert abs(ccs_inner(plus.vector, minus.vector)) < 1e-12
     assert abs(ccs_inner(minus.vector, plus.vector)) < 1e-12
 
@@ -85,7 +84,7 @@ def test_inner_is_bilinear(re_u, im_u, re_w, re_v, alpha):
 def test_energy_expectations():
     block = GENERIC_BLOCK
     h = assemble(HamiltonianSpec([block]))
-    plus, minus = eigen_block(block).pairs
+    plus, minus = single_block_spectrum(block).pairs
     phi = math.asin(block.r * math.sin(block.theta) / block.s)
     base, split = block.r * math.cos(block.theta), block.s * math.cos(phi)
     assert abs(ccs_inner(plus.vector, h @ plus.vector) - (base + split)) < 1e-12

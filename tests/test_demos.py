@@ -1,4 +1,5 @@
-"""Smoke test: every script in ``demos/`` runs cleanly as its own process."""
+"""Smoke test: every script in ``demos/``, and the README's library quick
+start, runs cleanly as its own process."""
 
 import os
 import subprocess
@@ -9,17 +10,28 @@ import pytest
 
 import ptsym
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def readme_quick_start() -> str:
+    """The Python block under the README's "Library quick start" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start")[1]
+    return section.split("```python\n")[1].split("```")[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[str(d)] for d in DEMOS] + [["-c", readme_quick_start()]],
+    ids=[d.stem for d in DEMOS] + ["readme_quick_start"],
+)
+def test_demo_runs(argv):
     # the child imports the same ptsym as this process, installed or not
     src = os.path.dirname(os.path.dirname(ptsym.__file__))
     path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

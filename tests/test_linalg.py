@@ -139,6 +139,14 @@ def test_direct_sum_rectangular_block_rejected(rng):
         direct_sum([rand_cmat(rng, 2, 3)])
 
 
+def test_direct_sum_places_nonfinite_entries():
+    # an overflowed spectral sum must reach its residual, not raise here
+    out = direct_sum([np.array([[np.inf]]), np.array([[np.nan]])])
+    assert out[0, 0] == np.inf
+    assert np.isnan(out[1, 1])
+    assert out[0, 1] == 0 and out[1, 0] == 0
+
+
 def test_direct_sum_spectrum_is_union_of_block_spectra(rng):
     # det(M - z I) must factor over the blocks; probe the characteristic
     # polynomial at random points with numpy's determinant as the oracle.

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from support import eig2_oracle, random_broken_block, random_unbroken_block, sort_eigs
+from support import (
+    eig2_oracle,
+    random_broken_block,
+    random_unbroken_block,
+    single_block_spectrum,
+    sort_eigs,
+)
 
 from ptsym import (
     HamiltonianSpec,
-    NotBrokenError,
     NotUnbrokenError,
     Phase,
     PTBlock,
@@ -15,8 +20,6 @@ from ptsym import (
     assemble,
     build_C,
     classify,
-    eigen_block,
-    eigen_broken,
     full_spectrum,
     max_abs,
 )
@@ -65,11 +68,11 @@ def test_classification_sweep_is_monotonic():
     ]
 
 
-# ------------------------------------------------------------- eigen_block
+# ---------------------------------------------------- one unbroken block
 
 
 def test_eigen_block_hermitian_limit():
-    bs = eigen_block(PTBlock(r=0.0, theta=1.234, s=1.0))
+    bs = single_block_spectrum(PTBlock(r=0.0, theta=1.234, s=1.0))
     assert bs.phi == 0.0
     assert bs.values[0].real == pytest.approx(1.0, abs=1e-15)
     assert bs.values[1].real == pytest.approx(-1.0, abs=1e-15)
@@ -80,7 +83,7 @@ def test_eigen_block_hermitian_limit():
 
 def test_eigen_block_pi_sixth_example():
     block = PTBlock(r=1.0, theta=math.pi / 6, s=1.0)
-    bs = eigen_block(block)
+    bs = single_block_spectrum(block)
     assert bs.phi == pytest.approx(math.pi / 6, abs=1e-15)
     h = assemble(HamiltonianSpec([block]))
     expected = eig2_oracle(h)  # {0, sqrt(3)}
@@ -92,7 +95,7 @@ def test_eigen_block_pi_sixth_example():
 
 
 def test_eigen_block_values_are_real():
-    bs = eigen_block(PTBlock(r=2.5, theta=-0.8, s=3.0))
+    bs = single_block_spectrum(PTBlock(r=2.5, theta=-0.8, s=3.0))
     for value in bs.values:
         assert value.imag == 0.0
 
@@ -101,7 +104,7 @@ def test_eigen_block_residuals_random(rng):
     for _ in range(1000):
         block = random_unbroken_block(rng)
         h = assemble(HamiltonianSpec([block]))
-        for pair in eigen_block(block).pairs:
+        for pair in single_block_spectrum(block).pairs:
             residual = h @ pair.vector - pair.value * pair.vector
             assert max_abs(residual.reshape(1, -1)) < 1e-12
 
@@ -111,43 +114,40 @@ def test_eigen_block_matches_charpoly_oracle(rng):
         block = random_unbroken_block(rng)
         h = assemble(HamiltonianSpec([block]))
         expected = eig2_oracle(h)
-        got = sort_eigs(eigen_block(block).values)
+        got = sort_eigs(single_block_spectrum(block).values)
         for a, b in zip(got, expected):
             assert abs(a - b) < 1e-12
 
 
 def test_eigen_block_sign_indices():
-    bs = eigen_block(PTBlock(r=1.0, theta=0.5, s=2.0))
+    bs = single_block_spectrum(PTBlock(r=1.0, theta=0.5, s=2.0))
     assert [p.sign_index for p in bs.pairs] == [1, -1]
     assert bs.pairs[0].value.real > bs.pairs[1].value.real
-
-
-def test_eigen_block_refuses_other_phases():
-    with pytest.raises(NotUnbrokenError):
-        eigen_block(PTBlock(r=2.0, theta=math.pi / 2, s=1.0))
-    with pytest.raises(NotUnbrokenError):
-        eigen_block(PTBlock(r=1.0, theta=math.pi / 2, s=1.0))
 
 
 def test_eigen_block_phi_principal_branch(rng):
     for _ in range(100):
         block = random_unbroken_block(rng)
-        phi = eigen_block(block).phi
+        phi = single_block_spectrum(block).phi
         assert -math.pi / 2 < phi < math.pi / 2
         assert block.r * math.sin(block.theta) == pytest.approx(
             block.s * math.sin(phi), abs=1e-12
         )
 
 
-# ------------------------------------------------------------ eigen_broken
+# ------------------------------------------------------ one broken block
 
 
 def test_eigen_broken_examples():
-    upper, lower = eigen_broken(PTBlock(r=2.0, theta=math.pi / 2, s=1.0))
+    upper, lower = single_block_spectrum(
+        PTBlock(r=2.0, theta=math.pi / 2, s=1.0), Phase.BROKEN
+    ).values
     assert abs(upper - 1j * math.sqrt(3.0)) < 1e-12
     assert abs(lower + 1j * math.sqrt(3.0)) < 1e-12
 
-    upper, lower = eigen_broken(PTBlock(r=1.0, theta=math.pi / 2, s=0.5))
+    upper, lower = single_block_spectrum(
+        PTBlock(r=1.0, theta=math.pi / 2, s=0.5), Phase.BROKEN
+    ).values
     assert abs(upper - 1j * math.sqrt(0.75)) < 1e-12
     assert abs(lower + 1j * math.sqrt(0.75)) < 1e-12
 
@@ -155,7 +155,7 @@ def test_eigen_broken_examples():
 def test_eigen_broken_exact_conjugates(rng):
     for _ in range(100):
         block = random_broken_block(rng)
-        upper, lower = eigen_broken(block)
+        upper, lower = single_block_spectrum(block, Phase.BROKEN).values
         assert upper == lower.conjugate()
         assert upper.imag > 0
 
@@ -165,14 +165,9 @@ def test_eigen_broken_matches_charpoly_oracle(rng):
         block = random_broken_block(rng)
         h = assemble(HamiltonianSpec([block]))
         expected = eig2_oracle(h)
-        got = sort_eigs(eigen_broken(block))
+        got = sort_eigs(single_block_spectrum(block, Phase.BROKEN).values)
         for a, b in zip(got, expected):
             assert abs(a - b) < 1e-10
-
-
-def test_eigen_broken_refuses_unbroken():
-    with pytest.raises(NotBrokenError):
-        eigen_broken(PTBlock(r=1.0, theta=math.pi / 6, s=1.0))
 
 
 # ----------------------------------------------------------- full_spectrum
@@ -273,7 +268,7 @@ def test_full_spectrum_tolerant_mode_exceptional_degenerate():
 def test_trace_and_determinant_identities(rng):
     for _ in range(200):
         block = random_unbroken_block(rng)
-        values = eigen_block(block).values
+        values = single_block_spectrum(block).values
         assert sum(values).real == pytest.approx(
             2.0 * block.r * math.cos(block.theta), abs=1e-12
         )
@@ -282,7 +277,7 @@ def test_trace_and_determinant_identities(rng):
         )
     for _ in range(200):
         block = random_broken_block(rng)
-        upper, lower = eigen_broken(block)
+        upper, lower = single_block_spectrum(block, Phase.BROKEN).values
         assert (upper + lower).real == pytest.approx(
             2.0 * block.r * math.cos(block.theta), abs=1e-12
         )
@@ -300,9 +295,9 @@ def test_eigenvalues_merge_at_the_boundary():
     center = r * math.cos(theta)
 
     near_unbroken = PTBlock(r=r, theta=theta, s=x * (1 + 1e-6))
-    for value in eigen_block(near_unbroken).values:
+    for value in single_block_spectrum(near_unbroken).values:
         assert abs(value - center) < 5e-3 * near_unbroken.s
 
     near_broken = PTBlock(r=r, theta=theta, s=x * (1 - 1e-6))
-    for value in eigen_broken(near_broken):
+    for value in single_block_spectrum(near_broken, Phase.BROKEN).values:
         assert abs(value - center) < 5e-3 * near_broken.s
