@@ -4,75 +4,60 @@ Systems are ordered direct sums of 2x2 gain-loss blocks and 1x1 real
 levels.  The package computes their closed-form spectra, the bilinear
 (complex-conjugate-space) eigenvector algebra, and the C, P and T
 operators, and verifies every symmetry identity numerically.
+
+The exports resolve lazily: each name's module is imported on first
+access, so ``import ptsym`` alone loads no numpy.
 """
 
-from .ccs import bilinear_gram, ccs_inner, completeness, reconstruct
-from .linalg import (
-    SingularMatrixError,
-    direct_sum,
-    frob_norm,
-    mat_inverse,
-    max_abs,
-)
-from .model import (
-    HamiltonianSpec,
-    PTBlock,
-    RealLevel,
-    assemble,
-    block_offsets,
-    dimension,
-)
-from .spectra import (
-    BlockSpectrum,
-    EigenPair,
-    NotUnbrokenError,
-    Phase,
-    classify,
-    full_spectrum,
-)
-from .symmetry import (
-    antilinear_commutator_norm,
-    build_C,
-    build_P,
-    c_expectations,
-    cfrac_F,
-    cfrac_scalar,
-    commutator_norm,
-    parity_matrix,
-    verify_cpt,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockSpectrum",
-    "EigenPair",
-    "HamiltonianSpec",
-    "NotUnbrokenError",
-    "Phase",
-    "PTBlock",
-    "RealLevel",
-    "SingularMatrixError",
-    "antilinear_commutator_norm",
-    "assemble",
-    "bilinear_gram",
-    "block_offsets",
-    "build_C",
-    "build_P",
-    "c_expectations",
-    "ccs_inner",
-    "cfrac_F",
-    "cfrac_scalar",
-    "classify",
-    "commutator_norm",
-    "completeness",
-    "dimension",
-    "direct_sum",
-    "frob_norm",
-    "full_spectrum",
-    "mat_inverse",
-    "max_abs",
-    "parity_matrix",
-    "reconstruct",
-    "verify_cpt",
-]
+# Every export and the module that defines it.
+_EXPORTS = {
+    "BlockSpectrum": "spectra",
+    "EigenPair": "spectra",
+    "HamiltonianSpec": "model",
+    "NotUnbrokenError": "model",
+    "Phase": "model",
+    "PTBlock": "model",
+    "RealLevel": "model",
+    "SingularMatrixError": "linalg",
+    "antilinear_commutator_norm": "symmetry",
+    "assemble": "model",
+    "bilinear_gram": "ccs",
+    "block_offsets": "model",
+    "build_C": "symmetry",
+    "build_P": "symmetry",
+    "c_expectations": "symmetry",
+    "ccs_inner": "ccs",
+    "cfrac_F": "symmetry",
+    "cfrac_scalar": "symmetry",
+    "classify": "model",
+    "commutator_norm": "symmetry",
+    "completeness": "ccs",
+    "dimension": "model",
+    "direct_sum": "linalg",
+    "frob_norm": "linalg",
+    "full_spectrum": "spectra",
+    "mat_inverse": "linalg",
+    "max_abs": "linalg",
+    "parity_matrix": "symmetry",
+    "reconstruct": "ccs",
+    "verify_cpt": "symmetry",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,6 +13,9 @@ def run() -> int:
     gc.freeze()
     try:
         code = main()
+        # a command that builds arrays imported numpy inside main: freeze again,
+        # so the collection at exit skips numpy's import heap too
+        gc.freeze()
         # flush here, so a reader that closed stdout early is caught below
         sys.stdout.flush()
     except BrokenPipeError as exc:

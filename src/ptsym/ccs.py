@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_cvector, direct_sum
-from .spectra import BlockSpectrum, NotUnbrokenError, Phase
+from .linalg import as_cvector, direct_sum, pow2_above
+from .model import require_unbroken
+from .spectra import BlockSpectrum
 
 __all__ = [
     "ccs_inner",
@@ -48,16 +49,11 @@ def ccs_inner(u, v) -> complex:
 
 
 def _check_unbroken(spectra: list[BlockSpectrum]) -> None:
-    """The phase gate: refuse any block that is not unbroken, and any list
-    whose offsets do not tile [0, N) in list order."""
+    """The phase gate on a spectrum list: refuse any block that is not
+    unbroken, and any list whose offsets do not tile [0, N) in list order."""
     n = 0
     for bs in spectra:
-        if bs.phase is not Phase.UNBROKEN:
-            raise NotUnbrokenError(
-                f"block {bs.block_id} is {bs.phase.value}; "
-                "eigenvectors exist only in the unbroken phase "
-                "(eigenvalues-only spectra are still available)"
-            )
+        require_unbroken(bs.block_id, bs.phase)
         for pair in bs.pairs:
             if pair.offset != n:
                 raise ValueError(
@@ -90,8 +86,22 @@ def bilinear_gram(spectra: list[BlockSpectrum]) -> np.ndarray:
 
 
 def reconstruct(spectra: list[BlockSpectrum]) -> np.ndarray:
-    """Spectral sum  sum_n E_n |psi_n><psi_n*|  (equals the Hamiltonian)."""
-    return _blockwise_sum(spectra, lambda p: p.value * np.outer(p.vector, p.vector))
+    """Spectral sum  sum_n E_n |psi_n><psi_n*|  (equals the Hamiltonian).
+
+    Each block's sum is formed from E_n / 2**k, with 2**k the
+    :func:`~ptsym.linalg.pow2_above` the block's max |E_n|, and multiplied
+    by 2**k: near the EP an outer product grows like sec(phi), so E_n times
+    it can overflow although the sum, the block itself, does not.  The
+    power-of-two scale changes no digit of a sum that stays a normal float.
+    """
+    spectra = list(spectra)
+    _check_unbroken(spectra)
+    sums = []
+    for bs in spectra:
+        scale = pow2_above(max(abs(p.value) for p in bs.pairs))
+        terms = ((p.value / scale) * np.outer(p.vector, p.vector) for p in bs.pairs)
+        sums.append(sum(terms) * scale)
+    return direct_sum(sums)
 
 
 def completeness(spectra: list[BlockSpectrum]) -> np.ndarray:

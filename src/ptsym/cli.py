@@ -19,6 +19,13 @@ Exit codes: 0 all checks pass, 1 any FAIL (or a continued-fraction pole,
 a system too large for memory, or a closed stdout), 2 config error, 3 phase error
 (operators/verify/cfrac on a system with a non-unbroken block; diagnostics
 on stderr name the block).
+
+Only a command that builds arrays loads numpy.  This module imports the
+numpy-free block types and phase rule of :mod:`ptsym.model`; each command
+imports the array layers it uses when it runs, after the config has parsed
+and, for operators, verify and cfrac, after every block has passed the phase
+gate.  So a config error or a phase error exits without importing numpy,
+and so does ``import ptsym``, whose exports resolve lazily.
 """
 
 from __future__ import annotations
@@ -29,22 +36,20 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .ccs import bilinear_gram, completeness, reconstruct
-from .linalg import SingularMatrixError, max_abs
-from .model import HamiltonianSpec, PTBlock, RealLevel, assemble, dimension
-from .spectra import NotUnbrokenError, Phase, full_spectrum
-from .symmetry import (
-    antilinear_commutator_norm,
-    build_C,
-    build_P,
-    c_expectations,
-    cfrac_F,
-    commutator_norm,
-    verify_cpt,
+from .model import (
+    HamiltonianSpec,
+    NotUnbrokenError,
+    Phase,
+    PTBlock,
+    RealLevel,
+    dimension,
+    require_unbroken,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "main"]
 
@@ -55,6 +60,8 @@ CFRAC_TOL_FACTOR = 100.0
 # cfrac runs `cfrac_depth` N x N inversions, so the depth is bounded.
 MAX_CFRAC_DEPTH = 1000
 _TOP_KEYS = frozenset({"blocks", "beta", "cfrac_depth", "tol"})
+# The commands that need every block's eigenvectors.
+_UNBROKEN_ONLY = frozenset({"operators", "verify", "cfrac"})
 
 
 def _block_kind(cls) -> tuple:
@@ -194,11 +201,15 @@ def _check_line(out, name: str, residual: float, tol: float) -> bool:
 
 
 def _cmd_build(cfg: RunConfig, args, out) -> int:
+    from .model import assemble
+
     _dump_matrix(out, "H", assemble(cfg.spec))
     return 0
 
 
 def _cmd_spectrum(cfg: RunConfig, args, out) -> int:
+    from .spectra import full_spectrum
+
     spectra = full_spectrum(cfg.spec)
     n = dimension(cfg.spec)
     print(f"SPECTRUM N {n} BLOCKS {len(spectra)}", file=out)
@@ -223,8 +234,12 @@ def _cmd_spectrum(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_operators(cfg: RunConfig, args, out) -> int:
+    import numpy as np
+
+    from .spectra import full_spectrum
+    from .symmetry import build_C, build_P
+
     spectra = full_spectrum(cfg.spec)
-    # C is built for every --which: build_C is the phase gate
     c = build_C(spectra)
     which = args.which or "CPT"
     if "C" in which:
@@ -239,6 +254,21 @@ def _cmd_operators(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args, out) -> int:
+    import numpy as np
+
+    from .ccs import bilinear_gram, completeness, reconstruct
+    from .linalg import max_abs
+    from .model import assemble
+    from .spectra import full_spectrum
+    from .symmetry import (
+        antilinear_commutator_norm,
+        build_C,
+        build_P,
+        c_expectations,
+        commutator_norm,
+        verify_cpt,
+    )
+
     tol = cfg.tol
     spec = cfg.spec
     h = assemble(spec)
@@ -268,6 +298,10 @@ def _cmd_verify(cfg: RunConfig, args, out) -> int:
 
 
 def _cmd_cfrac(cfg: RunConfig, args, out) -> int:
+    from .model import assemble
+    from .spectra import full_spectrum
+    from .symmetry import build_C, cfrac_F, commutator_norm
+
     spectra = full_spectrum(cfg.spec)
     h = assemble(cfg.spec)
     c = build_C(spectra)
@@ -327,11 +361,21 @@ def main(argv=None) -> int:
         print(f"ptsym: config error: {exc}", file=err)
         return 2
 
+    if args.command in _UNBROKEN_ONLY:
+        # every block is classified, then the first one not unbroken refused
+        phases = [block.phase for block in cfg.spec.blocks]
+        try:
+            for block_id, phase in enumerate(phases):
+                require_unbroken(block_id, phase)
+        except NotUnbrokenError as exc:
+            print(f"ptsym: phase error: {exc}", file=err)
+            return 3
+
+    # the config holds: the array layers, numpy with them, load from here on
+    from .linalg import SingularMatrixError
+
     try:
         return _COMMANDS[args.command][0](cfg, args, out)
-    except NotUnbrokenError as exc:
-        print(f"ptsym: phase error: {exc}", file=err)
-        return 3
     except SingularMatrixError as exc:
         print(f"ptsym: {exc}", file=err)
         return 1

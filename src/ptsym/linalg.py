@@ -9,6 +9,7 @@ instead of silently returning a garbage inverse near a pole.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "mat_inverse",
     "frob_norm",
     "max_abs",
+    "pow2_above",
     "direct_sum",
 ]
 
@@ -106,6 +108,17 @@ def frob_norm(a) -> float:
 def max_abs(a) -> float:
     """Largest entry modulus."""
     return float(np.max(np.abs(np.asarray(a, dtype=np.complex128))))
+
+
+def pow2_above(x: float) -> float:
+    """The least power of two 2**k above ``x >= 0``, with k held in [-1022, 1023].
+
+    The bounds keep 2**k a normal float and 1 / 2**k a float: numpy divides a
+    complex array by multiplying it with the divisor's reciprocal.  Dividing
+    by 2**k and multiplying back changes no digit of a value that stays a
+    normal float in between.
+    """
+    return math.ldexp(1.0, min(max(math.frexp(x)[1], -1022), 1023))
 
 
 def direct_sum(blocks) -> np.ndarray:

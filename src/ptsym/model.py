@@ -8,30 +8,60 @@ A :class:`PTBlock` is the three-parameter complex-symmetric block
 with coupling ``s > 0``; a :class:`RealLevel` is a decoupled 1x1 real entry.
 A :class:`HamiltonianSpec` is an ordered direct sum of these, in any order
 and multiplicity.
+
+Each block also knows its spectral :class:`Phase`: :func:`classify` is the
+one phase rule, and a block's ``phase`` applies it once and keeps the
+answer.  :func:`require_unbroken` is the one phase gate for anything that
+needs eigenvectors.  None of this touches an array, so this module imports
+numpy only when :func:`block_matrix` or :func:`assemble` first builds one:
+the CLI refuses a config or a phase without loading it.
 """
 
 from __future__ import annotations
 
 import cmath
+import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
-from .linalg import direct_sum
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PTBlock",
     "RealLevel",
     "Block",
     "HamiltonianSpec",
+    "Phase",
+    "NotUnbrokenError",
+    "EXCEPTIONAL_BAND",
+    "classify",
+    "require_unbroken",
     "block_width",
     "block_matrix",
     "assemble",
     "dimension",
     "block_offsets",
 ]
+
+# Relative half-width of the band around |r sin theta| = s classified as
+# exceptional.  Inside it cos(phi) -> 0 and the closed-form normalisation
+# 1/sqrt(2 cos phi) loses all precision, so we refuse to diagonalise.
+EXCEPTIONAL_BAND = 1e-9
+
+
+class Phase(enum.Enum):
+    """Spectral regime of a single block."""
+
+    UNBROKEN = "unbroken"
+    EXCEPTIONAL = "exceptional"
+    BROKEN = "broken"
+
+
+class NotUnbrokenError(ValueError):
+    """An operation requiring real spectra met a non-unbroken block."""
 
 
 @dataclass(frozen=True)
@@ -59,12 +89,18 @@ class PTBlock:
         if not math.isfinite(self.r + self.s):
             raise ValueError(f"PTBlock.r + s must be finite, got {self.r!r} + {self.s!r}")
 
+    @cached_property
+    def phase(self) -> Phase:
+        """This block's :func:`classify`, computed on first use and kept."""
+        return classify(self)
+
 
 @dataclass(frozen=True)
 class RealLevel:
-    """A decoupled real diagonal entry."""
+    """A decoupled real diagonal entry; its phase is always unbroken."""
 
     a: float
+    phase = Phase.UNBROKEN
 
     def __post_init__(self):
         if not math.isfinite(self.a):
@@ -94,6 +130,24 @@ class HamiltonianSpec:
         return dimension(self)
 
 
+def classify(block: PTBlock) -> Phase:
+    """Spectral regime of a block from the sign of s - |r sin(theta)|."""
+    x = abs(block.r * math.sin(block.theta))
+    if abs(block.s - x) <= EXCEPTIONAL_BAND * max(block.s, x):
+        return Phase.EXCEPTIONAL
+    return Phase.UNBROKEN if x < block.s else Phase.BROKEN
+
+
+def require_unbroken(block_id: int, phase: Phase) -> None:
+    """The phase gate: refuse block ``block_id`` unless ``phase`` is unbroken."""
+    if phase is not Phase.UNBROKEN:
+        raise NotUnbrokenError(
+            f"block {block_id} is {phase.value}; "
+            "eigenvectors exist only in the unbroken phase "
+            "(eigenvalues-only spectra are still available)"
+        )
+
+
 def block_width(block: Block) -> int:
     """Matrix dimension contributed by one block (2 or 1)."""
     return 2 if isinstance(block, PTBlock) else 1
@@ -101,6 +155,8 @@ def block_width(block: Block) -> int:
 
 def block_matrix(block: Block) -> np.ndarray:
     """The dense matrix of a single block."""
+    import numpy as np
+
     if isinstance(block, RealLevel):
         return np.array([[block.a]], dtype=np.complex128)
     z = block.r * cmath.exp(1j * block.theta)
@@ -114,6 +170,8 @@ def assemble(spec: HamiltonianSpec) -> np.ndarray:
     bitwise), since each block places the same coupling float at (0, 1)
     and (1, 0).
     """
+    from .linalg import direct_sum
+
     return direct_sum([block_matrix(b) for b in spec.blocks])
 
 

@@ -17,8 +17,9 @@ complex-conjugate pair.  The phase convention is fixed exactly as above so
 that operator constructions downstream come out entrywise, not merely up
 to gauge.
 
-:func:`full_spectrum` is the one way to a block's closed form: it
-classifies each block by |r sin(theta)| / s and computes the closed form of
+:func:`full_spectrum` is the one way to a block's closed form: it reads
+each block's phase (:func:`~ptsym.model.classify` of |r sin(theta)| / s,
+computed once per block and kept on it) and computes the closed form of
 that phase once.  A single block's spectrum is
 ``full_spectrum(HamiltonianSpec([block]))[0]``.
 """
@@ -26,13 +27,22 @@ that phase once.  A single block's spectrum is
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Block, HamiltonianSpec, PTBlock, RealLevel, block_offsets
+# the phase rule lives with the block types, numpy-free; it is re-exported here
+from .model import (
+    EXCEPTIONAL_BAND,
+    Block,
+    HamiltonianSpec,
+    NotUnbrokenError,
+    Phase,
+    RealLevel,
+    block_offsets,
+    classify,
+)
 
 __all__ = [
     "Phase",
@@ -43,23 +53,6 @@ __all__ = [
     "classify",
     "full_spectrum",
 ]
-
-# Relative half-width of the band around |r sin theta| = s classified as
-# exceptional.  Inside it cos(phi) -> 0 and the closed-form normalisation
-# 1/sqrt(2 cos phi) loses all precision, so we refuse to diagonalise.
-EXCEPTIONAL_BAND = 1e-9
-
-
-class Phase(enum.Enum):
-    """Spectral regime of a single block."""
-
-    UNBROKEN = "unbroken"
-    EXCEPTIONAL = "exceptional"
-    BROKEN = "broken"
-
-
-class NotUnbrokenError(ValueError):
-    """An operation requiring real spectra met a non-unbroken block."""
 
 
 @dataclass(frozen=True)
@@ -110,21 +103,13 @@ class BlockSpectrum:
     values: tuple[complex, ...]
 
 
-def classify(block: PTBlock) -> Phase:
-    """Spectral regime of a block from the sign of s - |r sin(theta)|."""
-    x = abs(block.r * math.sin(block.theta))
-    if abs(block.s - x) <= EXCEPTIONAL_BAND * max(block.s, x):
-        return Phase.EXCEPTIONAL
-    return Phase.UNBROKEN if x < block.s else Phase.BROKEN
-
-
 def _block_spectrum(block: Block, block_id: int, offset: int) -> BlockSpectrum:
     """The closed form of one block or level in its phase, pairs placed at ``offset``."""
     if isinstance(block, RealLevel):
         value = complex(block.a)
         pair = EigenPair(value, np.ones(1), +1, offset)
         return BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,))
-    phase = classify(block)
+    phase = block.phase
     base = block.r * math.cos(block.theta)
     if phase is Phase.EXCEPTIONAL:
         # doubly-degenerate real eigenvalue, defective matrix

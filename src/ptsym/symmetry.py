@@ -26,13 +26,20 @@ function of C that inherits every commutation relation C satisfies.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .ccs import _blockwise_sum, _check_unbroken, ccs_inner
-from .linalg import SingularMatrixError, as_cmatrix, direct_sum, frob_norm, max_abs, mat_inverse
+from .linalg import (
+    SingularMatrixError,
+    as_cmatrix,
+    direct_sum,
+    frob_norm,
+    mat_inverse,
+    max_abs,
+    pow2_above,
+)
 from .model import HamiltonianSpec, block_width
 from .spectra import BlockSpectrum
 
@@ -79,20 +86,16 @@ def parity_matrix(spec: HamiltonianSpec) -> np.ndarray:
 def _unit_scaled(h) -> tuple[np.ndarray, float]:
     """H divided by a power of two 2**k, and 2**k.
 
-    2**k is the least power of two above max|H|, kept between the smallest
-    normal float, 2**-1022, and the largest power of two a float holds,
-    2**1023: numpy divides a complex array by multiplying it with 1 / 2**k,
-    which must be a float too.  So every entry of the scaled H is below 2 in
-    modulus and no product of it with a moderate matrix overflows.  A
-    power-of-two scale changes no digit of a value that stays a normal
-    float: as long as no entry of the scaled H, nor of a product formed from
-    it, falls into the subnormal range, a residual computed from the scaled
-    H and multiplied by 2**k is the unscaled residual bit for bit wherever
-    that one is finite.  Entries more than about 2**1022 times smaller than
-    max|H| do become subnormal and lose digits.
+    2**k is :func:`~ptsym.linalg.pow2_above` max|H|, so every entry of the
+    scaled H is below 2 in modulus and no product of it with a moderate
+    matrix overflows.  As long as no entry of the scaled H, nor of a product
+    formed from it, falls into the subnormal range, a residual computed from
+    the scaled H and multiplied by 2**k is the unscaled residual bit for bit
+    wherever that one is finite.  Entries more than about 2**1022 times
+    smaller than max|H| do become subnormal and lose digits.
     """
     h = as_cmatrix(h)
-    scale = math.ldexp(1.0, min(max(math.frexp(max_abs(h))[1], -1022), 1023))
+    scale = pow2_above(max_abs(h))
     return h / scale, scale
 
 

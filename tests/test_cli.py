@@ -1,5 +1,6 @@
 import errno
 import gc
+import importlib
 import io
 import json
 import math
@@ -443,7 +444,7 @@ def test_out_of_memory_is_one_stderr_line(tmp_path, capsys, monkeypatch):
     def too_large(spec):
         raise MemoryError("Unable to allocate 23.8 GiB for an array")
 
-    monkeypatch.setattr(ptsym.cli, "assemble", too_large)
+    monkeypatch.setattr("ptsym.model.assemble", too_large)
     path = write_config(tmp_path, UNBROKEN_DOC)
     for command in ("build", "verify", "cfrac"):
         assert run_cli(capsys, command, path) == (
@@ -506,30 +507,93 @@ def module_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
 
 
-def run_module(*argv):
-    """Run ``python -m ptsym`` on ``argv`` as a child process, bytes captured."""
-    return subprocess.run(
-        [sys.executable, "-m", "ptsym", *argv], capture_output=True, env=module_env()
-    )
+def run_module(*argv, path=()):
+    """Run ``python -m ptsym`` on ``argv`` as a child process, bytes captured.
+
+    ``path`` directories go first on the child's import path.
+    """
+    env = module_env()
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, path), env["PYTHONPATH"]])
+    return subprocess.run([sys.executable, "-m", "ptsym", *argv], capture_output=True, env=env)
+
+
+def in_process(capsys, argv):
+    """``main(argv)``'s exit code, stdout and stderr, as a child process gives them."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err.encode()
+
+
+def refusals(tmp_path):
+    """(argv, exit code) of runs that a config or the phase rule refuses alone."""
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"blocks": [')
+    schema = write_config(tmp_path, {"blocks": [{"kind": "pt2", "r": 1.0}]}, "schema.json")
+    unbroken = write_config(tmp_path, UNBROKEN_DOC, "unbroken.json")
+    # a broken block after an unbroken one, and an EP block
+    phase_errors = [
+        write_config(tmp_path, doc, f"phase{i}.json") for i, (doc, _) in enumerate(PHASE_ERRORS)
+    ]
+    cases = [
+        (["verify", str(truncated)], 2),
+        (["spectrum", schema], 2),
+        (["build", str(tmp_path / "missing.json")], 2),
+        (["verify", unbroken, "--which", "C"], 2),
+        (["verify", unbroken, "--tol", "0"], 2),
+    ]
+    for path in phase_errors:
+        cases += [([command, path], 3) for command in ("operators", "verify", "cfrac")]
+    return cases
 
 
 def test_module_entry_point(tmp_path, capsys):
+    path = write_config(tmp_path, UNBROKEN_DOC)
     cases = [
-        (UNBROKEN_DOC, [], 0),
-        (UNBROKEN_DOC, ["--tol", "1e-30"], 1),
-        ({"blocks": []}, [], 2),
-        (BROKEN_DOC, [], 3),
+        (["verify", path], 0),
+        (["verify", path, "--tol", "1e-30"], 1),
+        (["verify", write_config(tmp_path, {"blocks": []}, "empty.json")], 2),
+        *refusals(tmp_path),
     ]
-    for doc, extra, code in cases:
-        path = write_config(tmp_path, doc)
-        proc = run_module("verify", path, *extra)
-        in_process = run_cli(capsys, "verify", path, *extra)
-        assert in_process[0] == code
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            code,
-            in_process[1].encode(),
-            in_process[2].encode(),
-        )
+    for argv, code in cases:
+        proc = run_module(*argv)
+        expected = in_process(capsys, argv)
+        assert expected[0] == code, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
+def test_refusals_never_import_numpy(tmp_path, capsys):
+    # a numpy that ends the process with exit 97 the moment it is imported
+    poisoned = tmp_path / "poisoned"
+    (poisoned / "numpy").mkdir(parents=True)
+    (poisoned / "numpy" / "__init__.py").write_text("import os\nos._exit(97)\n")
+    for argv, code in refusals(tmp_path):
+        proc = run_module(*argv, path=[poisoned])
+        expected = in_process(capsys, argv)
+        assert expected[0] == code, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+    # and a run that needs arrays does import it
+    arrays = run_module("spectrum", write_config(tmp_path, UNBROKEN_DOC), path=[poisoned])
+    assert arrays.returncode == 97
+
+
+def test_import_ptsym_loads_no_numpy():
+    check = "import sys, ptsym; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, env=module_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_every_export_resolves_to_its_home_module():
+    for name in ptsym.__all__:
+        value = getattr(ptsym, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("ptsym."), name
+        assert getattr(home, name) is value, name
+    assert set(ptsym.__all__) <= set(dir(ptsym))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptsym.no_such_name
 
 
 def test_main_leaves_the_heap_unfrozen(tmp_path, capsys):
@@ -557,6 +621,12 @@ def test_entries_near_the_float_limit_leave_stderr_empty(tmp_path):
         {
             "blocks": [
                 {"kind": "pt2", "r": 1e306, "theta": 1.5707963267948966, "s": 1.00000001e306}
+            ]
+        },
+        # near the EP, E times an outer product passes the float limit
+        {
+            "blocks": [
+                {"kind": "pt2", "r": 1e308, "theta": 0.7853981633974483, "s": 7.07106788257e307}
             ]
         },
         # max|H| >= 2**1023: the power of two above it is no float
