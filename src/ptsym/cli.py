@@ -362,10 +362,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command in _UNBROKEN_ONLY:
-        # every block is classified, then the first one not unbroken refused
-        phases = [block.phase for block in cfg.spec.blocks]
         try:
-            for block_id, phase in enumerate(phases):
+            for block_id, phase in enumerate(cfg.spec.phases):
                 require_unbroken(block_id, phase)
         except NotUnbrokenError as exc:
             print(f"ptsym: phase error: {exc}", file=err)

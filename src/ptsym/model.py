@@ -9,12 +9,12 @@ with coupling ``s > 0``; a :class:`RealLevel` is a decoupled 1x1 real entry.
 A :class:`HamiltonianSpec` is an ordered direct sum of these, in any order
 and multiplicity.
 
-Each block also knows its spectral :class:`Phase`: :func:`classify` is the
-one phase rule, and a block's ``phase`` applies it once and keeps the
-answer.  :func:`require_unbroken` is the one phase gate for anything that
-needs eigenvectors.  None of this touches an array, so this module imports
-numpy only when :func:`block_matrix` or :func:`assemble` first builds one:
-the CLI refuses a config or a phase without loading it.
+Each block also has a spectral :class:`Phase`: :func:`classify` is the one
+phase rule, and a spec's ``phases`` applies it once per block and keeps
+the answer.  :func:`require_unbroken` is the one phase gate for anything
+that needs eigenvectors.  None of this touches an array, so this module
+imports numpy only when :func:`block_matrix` or :func:`assemble` first
+builds one: the CLI refuses a config or a phase without loading it.
 """
 
 from __future__ import annotations
@@ -89,18 +89,12 @@ class PTBlock:
         if not math.isfinite(self.r + self.s):
             raise ValueError(f"PTBlock.r + s must be finite, got {self.r!r} + {self.s!r}")
 
-    @cached_property
-    def phase(self) -> Phase:
-        """This block's :func:`classify`, computed on first use and kept."""
-        return classify(self)
-
 
 @dataclass(frozen=True)
 class RealLevel:
-    """A decoupled real diagonal entry; its phase is always unbroken."""
+    """A decoupled real diagonal entry."""
 
     a: float
-    phase = Phase.UNBROKEN
 
     def __post_init__(self):
         if not math.isfinite(self.a):
@@ -128,6 +122,14 @@ class HamiltonianSpec:
     @property
     def dimension(self) -> int:
         return dimension(self)
+
+    @cached_property
+    def phases(self) -> tuple[Phase, ...]:
+        """Each block's phase, computed on first use and kept: :func:`classify`
+        of a 2x2 block, unbroken for a level."""
+        return tuple(
+            classify(b) if isinstance(b, PTBlock) else Phase.UNBROKEN for b in self.blocks
+        )
 
 
 def classify(block: PTBlock) -> Phase:

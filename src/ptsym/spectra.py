@@ -18,9 +18,9 @@ that operator constructions downstream come out entrywise, not merely up
 to gauge.
 
 :func:`full_spectrum` is the one way to a block's closed form: it reads
-each block's phase (:func:`~ptsym.model.classify` of |r sin(theta)| / s,
-computed once per block and kept on it) and computes the closed form of
-that phase once.  A single block's spectrum is
+each block's phase from the spec (:func:`~ptsym.model.classify` of
+|r sin(theta)| / s, computed once per block and kept) and computes the
+closed form of that phase once.  A single block's spectrum is
 ``full_spectrum(HamiltonianSpec([block]))[0]``.
 """
 
@@ -103,13 +103,12 @@ class BlockSpectrum:
     values: tuple[complex, ...]
 
 
-def _block_spectrum(block: Block, block_id: int, offset: int) -> BlockSpectrum:
-    """The closed form of one block or level in its phase, pairs placed at ``offset``."""
+def _block_spectrum(block: Block, block_id: int, offset: int, phase: Phase) -> BlockSpectrum:
+    """The closed form of one block or level in its ``phase``, pairs placed at ``offset``."""
     if isinstance(block, RealLevel):
         value = complex(block.a)
         pair = EigenPair(value, np.ones(1), +1, offset)
         return BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,))
-    phase = block.phase
     base = block.r * math.cos(block.theta)
     if phase is Phase.EXCEPTIONAL:
         # doubly-degenerate real eigenvalue, defective matrix
@@ -148,4 +147,7 @@ def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:
     refuses them (see :mod:`ptsym.ccs`).
     """
     starts = [start for start, _width in block_offsets(spec)]
-    return [_block_spectrum(b, i, starts[i]) for i, b in enumerate(spec.blocks)]
+    return [
+        _block_spectrum(b, i, starts[i], phase)
+        for i, (b, phase) in enumerate(zip(spec.blocks, spec.phases))
+    ]
