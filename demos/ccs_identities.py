@@ -20,6 +20,7 @@ from ptsym import (
     assemble,
     ccs_inner,
     completeness,
+    direct_sum,
     full_spectrum,
     max_abs,
     reconstruct,
@@ -33,7 +34,8 @@ spec = HamiltonianSpec(
 h = assemble(spec)
 spectra = full_spectrum(spec)
 pairs = [p for bs in spectra for p in bs.pairs]
-vecs = [p.embedded(spec.dimension) for p in pairs]
+# a list of block spectra is the direct sum of its blocks, in list order
+vecs = direct_sum([np.column_stack([p.vector for p in bs.pairs]) for bs in spectra]).T
 
 print("H =")
 print(h)

@@ -23,6 +23,7 @@ from ptsym import (
     cfrac_F,
     cfrac_scalar,
     commutator_norm,
+    direct_sum,
     full_spectrum,
 )
 
@@ -32,6 +33,9 @@ spec = HamiltonianSpec(
 h = assemble(spec)
 spectra = full_spectrum(spec)
 c = build_C(spectra)
+pairs = [p for bs in spectra for p in bs.pairs]
+# full eigenvectors: the columns of the direct sum of each block's local ones
+vecs = direct_sum([np.column_stack([p.vector for p in bs.pairs]) for bs in spectra]).T
 beta = 2.0
 
 print(f"beta = {beta}: scalar fraction at the two C eigenvalues per depth\n")
@@ -39,11 +43,9 @@ print(f"{'depth':>5s} {'f(+1)':>12s} {'f(-1)':>12s} {'||[H,F]||':>12s} {'||[C,F]
 for depth in range(1, 12):
     f_matrix = cfrac_F(c, beta, depth)
     worst = 0.0
-    for bs in spectra:
-        for pair in bs.pairs:
-            predicted = cfrac_scalar(float(pair.sign_index), beta, depth)
-            vec = pair.embedded(spec.dimension)
-            worst = max(worst, float(np.max(np.abs(f_matrix @ vec - predicted * vec))))
+    for pair, vec in zip(pairs, vecs):
+        predicted = cfrac_scalar(float(pair.sign_index), beta, depth)
+        worst = max(worst, float(np.max(np.abs(f_matrix @ vec - predicted * vec))))
     print(
         f"{depth:5d} {cfrac_scalar(1.0, beta, depth):12.8f} {cfrac_scalar(-1.0, beta, depth):12.8f} "
         f"{commutator_norm(h, f_matrix):12.2e} {commutator_norm(c, f_matrix):12.2e}   {worst:.2e}"

@@ -58,6 +58,6 @@ print("\n--- mixed five-dimensional system ---")
 spec = HamiltonianSpec(
     [PTBlock(r=1.0, theta=0.4, s=1.2), PTBlock(r=2.0, theta=1.5, s=1.1)]
 )
-for bs in full_spectrum(spec):
+for i, bs in enumerate(full_spectrum(spec)):
     values = ", ".join(f"{v:.4f}" for v in bs.values)
-    print(f"block {bs.block_id}: {bs.phase.value:12s} eigenvalues {values}")
+    print(f"block {i}: {bs.phase.value:12s} eigenvalues {values}")

@@ -16,11 +16,11 @@ kind) are refused rather than paired: every sum here, and the C and P of
 :mod:`ptsym.symmetry`, goes through one phase gate that names the first
 block that is not unbroken.
 
-Eigenpairs carry only their block's entries plus an offset (see
-:class:`~ptsym.spectra.EigenPair`), and the offsets must tile [0, N) in
-list order.  Each N x N sum below is therefore one w x w sum per block,
-placed by :func:`~ptsym.linalg.direct_sum`: entries between blocks are zero
-by construction and are never summed.
+Eigenpairs carry only their block's entries (see
+:class:`~ptsym.spectra.EigenPair`), and a list of block spectra is the
+direct sum of its blocks in list order.  Each N x N sum below is therefore
+one w x w sum per block, placed by :func:`~ptsym.linalg.direct_sum`:
+entries between blocks are zero by construction and are never summed.
 """
 
 from __future__ import annotations
@@ -49,19 +49,9 @@ def ccs_inner(u, v) -> complex:
 
 
 def _check_unbroken(spectra: list[BlockSpectrum]) -> None:
-    """The phase gate on a spectrum list: refuse any block that is not
-    unbroken, and any list whose offsets do not tile [0, N) in list order."""
-    n = 0
-    for bs in spectra:
-        require_unbroken(bs.block_id, bs.phase)
-        for pair in bs.pairs:
-            if pair.offset != n:
-                raise ValueError(
-                    f"eigenpair offsets do not tile [0, N): a block starts at "
-                    f"{pair.offset}, expected {n}"
-                )
-        # a block of width w has w eigenpairs
-        n += len(bs.pairs)
+    """The phase gate on a spectrum list: refuse any block that is not unbroken."""
+    for i, bs in enumerate(spectra):
+        require_unbroken(i, bs.phase)
 
 
 def _blockwise_sum(spectra, term) -> np.ndarray:

@@ -44,6 +44,7 @@ from .model import (
     Phase,
     PTBlock,
     RealLevel,
+    block_offsets,
     dimension,
     require_unbroken,
 )
@@ -213,9 +214,10 @@ def _cmd_spectrum(cfg: RunConfig, args, out) -> int:
     spectra = full_spectrum(cfg.spec)
     n = dimension(cfg.spec)
     print(f"SPECTRUM N {n} BLOCKS {len(spectra)}", file=out)
-    for bs, block in zip(spectra, cfg.spec.blocks):
+    places = block_offsets(cfg.spec)
+    for i, (bs, block, (start, width)) in enumerate(zip(spectra, cfg.spec.blocks, places)):
         kind = "pt2" if isinstance(block, PTBlock) else "level"
-        fields = [f"BLOCK {bs.block_id} KIND {kind} PHASE {bs.phase.value.upper()}"]
+        fields = [f"BLOCK {i} KIND {kind} PHASE {bs.phase.value.upper()}"]
         if kind == "pt2" and bs.phase is Phase.UNBROKEN:
             fields.append(f"PHI {bs.phi!r}")
         fields.append("E " + " ".join(_fmt_complex(v) for v in bs.values))
@@ -223,13 +225,12 @@ def _cmd_spectrum(cfg: RunConfig, args, out) -> int:
         if args.vectors:
             for pair in bs.pairs:
                 sign = "+" if pair.sign_index > 0 else "-"
-                after = n - pair.offset - pair.vector.shape[0]
                 entries = "\t".join(
-                    [_ZERO] * pair.offset
+                    [_ZERO] * start
                     + [_fmt_complex(z) for z in pair.vector]
-                    + [_ZERO] * after
+                    + [_ZERO] * (n - start - width)
                 )
-                print(f"VECTOR {bs.block_id}{sign}\t{entries}", file=out)
+                print(f"VECTOR {i}{sign}\t{entries}", file=out)
     return 0
 
 
@@ -239,9 +240,11 @@ def _cmd_operators(cfg: RunConfig, args, out) -> int:
     from .spectra import full_spectrum
     from .symmetry import build_C, build_P
 
-    spectra = full_spectrum(cfg.spec)
-    c = build_C(spectra)
     which = args.which or "CPT"
+    if which != "T":
+        # main has refused every block that is not unbroken: T alone needs no C
+        spectra = full_spectrum(cfg.spec)
+        c = build_C(spectra)
     if "C" in which:
         _dump_matrix(out, "C", c)
     if "P" in which:
@@ -363,8 +366,8 @@ def main(argv=None) -> int:
 
     if args.command in _UNBROKEN_ONLY:
         try:
-            for block_id, phase in enumerate(cfg.spec.phases):
-                require_unbroken(block_id, phase)
+            for i, phase in enumerate(cfg.spec.phases):
+                require_unbroken(i, phase)
         except NotUnbrokenError as exc:
             print(f"ptsym: phase error: {exc}", file=err)
             return 3

@@ -140,11 +140,11 @@ def classify(block: PTBlock) -> Phase:
     return Phase.UNBROKEN if x < block.s else Phase.BROKEN
 
 
-def require_unbroken(block_id: int, phase: Phase) -> None:
-    """The phase gate: refuse block ``block_id`` unless ``phase`` is unbroken."""
+def require_unbroken(i: int, phase: Phase) -> None:
+    """The phase gate: refuse block ``i`` unless ``phase`` is unbroken."""
     if phase is not Phase.UNBROKEN:
         raise NotUnbrokenError(
-            f"block {block_id} is {phase.value}; "
+            f"block {i} is {phase.value}; "
             "eigenvectors exist only in the unbroken phase "
             "(eigenvalues-only spectra are still available)"
         )

@@ -22,6 +22,10 @@ each block's phase from the spec (:func:`~ptsym.model.classify` of
 |r sin(theta)| / s, computed once per block and kept) and computes the
 closed form of that phase once.  A single block's spectrum is
 ``full_spectrum(HamiltonianSpec([block]))[0]``.
+
+A list of block spectra is the direct sum of its blocks in list order, as
+the spec is: a spectrum's place in the list is the only record of which
+block it describes and where that block's entries sit.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .model import (
     NotUnbrokenError,
     Phase,
     RealLevel,
-    block_offsets,
     classify,
 )
 
@@ -62,15 +65,13 @@ class EigenPair:
     ``sign_index`` is +1 for the upper branch (and for levels), -1 for the
     lower branch; it is the eigenvalue of the C operator on this state.
     ``vector`` holds only the block's own entries (length 2 for a block,
-    1 for a level), stored read-only; ``offset`` is the index in [0, N) of
-    its first entry, and every other entry is zero (see :meth:`embedded`).
-    The pair's block is the ``block_id`` of the spectrum that holds it.
+    1 for a level), stored read-only; the full eigenvector is zero outside
+    the block, whose place is that of its spectrum in the list.
     """
 
     value: complex
     vector: np.ndarray
     sign_index: int
-    offset: int = 0
 
     def __post_init__(self):
         vec = np.array(self.vector, dtype=np.complex128)
@@ -78,12 +79,6 @@ class EigenPair:
         object.__setattr__(self, "vector", vec)
         if self.sign_index not in (+1, -1):
             raise ValueError(f"sign_index must be +1 or -1, got {self.sign_index!r}")
-
-    def embedded(self, n: int) -> np.ndarray:
-        """The full length-``n`` eigenvector: ``vector`` at ``offset``, zeros elsewhere."""
-        out = np.zeros(n, dtype=np.complex128)
-        out[self.offset : self.offset + self.vector.shape[0]] = self.vector
-        return out
 
 
 @dataclass(frozen=True)
@@ -96,31 +91,30 @@ class BlockSpectrum:
     unbroken phase angle (0.0 for a real level, None otherwise).
     """
 
-    block_id: int
     phase: Phase
     phi: float | None
     pairs: tuple[EigenPair, ...]
     values: tuple[complex, ...]
 
 
-def _block_spectrum(block: Block, block_id: int, offset: int, phase: Phase) -> BlockSpectrum:
-    """The closed form of one block or level in its ``phase``, pairs placed at ``offset``."""
+def _block_spectrum(block: Block, phase: Phase) -> BlockSpectrum:
+    """The closed form of one block or level in its ``phase``."""
     if isinstance(block, RealLevel):
         value = complex(block.a)
-        pair = EigenPair(value, np.ones(1), +1, offset)
-        return BlockSpectrum(block_id, Phase.UNBROKEN, 0.0, (pair,), (value,))
+        pair = EigenPair(value, np.ones(1), +1)
+        return BlockSpectrum(Phase.UNBROKEN, 0.0, (pair,), (value,))
     base = block.r * math.cos(block.theta)
     if phase is Phase.EXCEPTIONAL:
         # doubly-degenerate real eigenvalue, defective matrix
         value = complex(base)
-        return BlockSpectrum(block_id, phase, None, (), (value, value))
+        return BlockSpectrum(phase, None, (), (value, value))
     if phase is Phase.BROKEN:
         # r cos(theta) +- i x sqrt((1 - t)(1 + t)), x = |r sin(theta)|, t = s / x:
         # the width neither overflows for large x nor cancels near the EP
         x = abs(block.r * math.sin(block.theta))
         t = block.s / x
         upper = complex(base, x * math.sqrt((1.0 - t) * (1.0 + t)))
-        return BlockSpectrum(block_id, phase, None, (), (upper, upper.conjugate()))
+        return BlockSpectrum(phase, None, (), (upper, upper.conjugate()))
     phi = math.asin(block.r * math.sin(block.theta) / block.s)
     scale = 1.0 / math.sqrt(2.0 * math.cos(phi))
     half = cmath.exp(0.5j * phi)
@@ -128,26 +122,22 @@ def _block_spectrum(block: Block, block_id: int, offset: int, phase: Phase) -> B
     e_plus = complex(base + split)
     e_minus = complex(base - split)
     pairs = (
-        EigenPair(e_plus, scale * np.array([half, half.conjugate()]), +1, offset),
-        EigenPair(e_minus, scale * np.array([half.conjugate(), -half]), -1, offset),
+        EigenPair(e_plus, scale * np.array([half, half.conjugate()]), +1),
+        EigenPair(e_minus, scale * np.array([half.conjugate(), -half]), -1),
     )
-    return BlockSpectrum(block_id, phase, phi, pairs, (e_plus, e_minus))
+    return BlockSpectrum(phase, phi, pairs, (e_plus, e_minus))
 
 
 def full_spectrum(spec: HamiltonianSpec) -> list[BlockSpectrum]:
-    """Per-block spectra, in block order, each eigenpair at its block's offset.
+    """Per-block spectra, in block order.
 
-    Eigenvectors keep only their block's entries; ``pair.offset`` places
-    them in the full dimension N (see :meth:`EigenPair.embedded`).  A real
-    level contributes an unbroken one-member spectrum: eigenvalue ``a``,
-    the local vector ``[1]`` at its offset, sign +1.
+    Eigenvectors keep only their block's entries; a block's place in the
+    full dimension N is its place in the list.  A real level contributes an
+    unbroken one-member spectrum: eigenvalue ``a``, the local vector
+    ``[1]``, sign +1.
 
     Every block is described.  Exceptional and broken blocks come back
     eigenvalues-only (empty ``pairs``); whatever needs their eigenvectors
     refuses them (see :mod:`ptsym.ccs`).
     """
-    starts = [start for start, _width in block_offsets(spec)]
-    return [
-        _block_spectrum(b, i, starts[i], phase)
-        for i, (b, phase) in enumerate(zip(spec.blocks, spec.phases))
-    ]
+    return [_block_spectrum(b, phase) for b, phase in zip(spec.blocks, spec.phases)]

@@ -137,22 +137,30 @@ def c_expectations(
 ) -> list[tuple[str, complex]]:
     """Bilinear diagonal elements <psi_n*| C |psi_n>, labelled per pair.
 
-    Each pair's local vector meets only C's diagonal block at its offset;
-    the rest of the full eigenvector is zero.  Each element comes out equal
-    to the pair's sign index (+1 or -1).  Labels are ``block<id>+`` /
-    ``block<id>-``.  Like C itself, it refuses a spectrum with a block
-    that is not unbroken, or whose offsets do not tile [0, N) in list order.
+    Each pair's local vector meets only C's diagonal block at its block's
+    place; the rest of the full eigenvector is zero.  Each element comes out
+    equal to the pair's sign index (+1 or -1).  Labels are ``block<i>+`` /
+    ``block<i>-``, with i the spectrum's index in the list.  Like C itself,
+    it refuses a spectrum with a block that is not unbroken; C must be
+    n x n, with n the number of eigenpairs.
     """
     spectra = list(spectra)
     _check_unbroken(spectra)
     c_matrix = as_cmatrix(c_matrix)
+    n = sum(len(bs.pairs) for bs in spectra)
+    if c_matrix.shape != (n, n):
+        raise ValueError(
+            f"C is {c_matrix.shape[0]}x{c_matrix.shape[1]}, expected {n}x{n} for {n} eigenpairs"
+        )
     out = []
-    for bs in spectra:
+    o = 0
+    for i, bs in enumerate(spectra):
+        w = len(bs.pairs)
+        block = c_matrix[o : o + w, o : o + w]
         for pair in bs.pairs:
-            label = f"block{bs.block_id}{'+' if pair.sign_index > 0 else '-'}"
-            o, w = pair.offset, pair.vector.shape[0]
-            block = c_matrix[o : o + w, o : o + w]
+            label = f"block{i}{'+' if pair.sign_index > 0 else '-'}"
             out.append((label, ccs_inner(pair.vector, block @ pair.vector)))
+        o += w
     return out
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from ptsym import HamiltonianSpec, Phase, PTBlock, RealLevel, full_spectrum
+from ptsym import HamiltonianSpec, Phase, PTBlock, RealLevel, direct_sum, full_spectrum
 
 
 def random_unbroken_block(rng, r_max=3.0, ratio_max=0.95):
@@ -35,14 +35,21 @@ def random_broken_block(rng, ratio_min=1.05):
 
 
 def single_block_spectrum(block, phase=Phase.UNBROKEN):
-    """The spectrum of ``block`` as the whole system, its pairs at offset 0.
+    """The spectrum of ``block`` as the whole system.
 
+    A list of such spectra is the direct sum of their blocks in list order.
     Fails unless the block is in ``phase``, so a misclassified block cannot
     pass a test through an empty ``pairs``.
     """
     bs = full_spectrum(HamiltonianSpec([block]))[0]
     assert bs.phase is phase, f"expected {phase.value}, got {bs.phase.value}"
     return bs
+
+
+def full_vectors(spectra):
+    """Every eigenpair's full length-N eigenvector, in spectrum order: the
+    columns of the direct sum of each block's local eigenvectors."""
+    return list(direct_sum([np.column_stack([p.vector for p in bs.pairs]) for bs in spectra]).T)
 
 
 def random_level(rng):

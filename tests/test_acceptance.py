@@ -12,6 +12,7 @@ import pytest
 
 from support import (
     eig2_oracle,
+    full_vectors,
     pattern_C,
     pattern_P,
     random_broken_block,
@@ -77,7 +78,7 @@ def test_criterion_02_orthonormality_and_completeness():
         spec = random_unbroken_spec(rng, max_pt=10, max_levels=5)
         spectra = full_spectrum(spec)
         n = spec.dimension
-        vecs = [p.embedded(n) for p in all_pairs(spectra)]
+        vecs = full_vectors(spectra)
         gram = np.array([[ccs_inner(u, v) for v in vecs] for u in vecs])
         worst = max(worst, max_abs(gram - np.eye(len(vecs))))
         worst = max(worst, max_abs(completeness(spectra) - np.eye(n)))
@@ -197,9 +198,8 @@ def test_criterion_09_continued_fraction_family():
         f = cfrac_F(c, 2.0, depth)
         worst = max(worst, commutator_norm(h, f))
         worst = max(worst, commutator_norm(c, f))
-        for pair in all_pairs(spectra):
+        for pair, vec in zip(all_pairs(spectra), full_vectors(spectra), strict=True):
             expected = scalar_cfrac_oracle(float(pair.sign_index), 2.0, depth)
-            vec = pair.embedded(spec.dimension)
             residual = f @ vec - expected * vec
             worst = max(worst, float(np.max(np.abs(residual))))
     with pytest.raises(SingularMatrixError):

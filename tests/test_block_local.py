@@ -1,8 +1,8 @@
 """Block-local eigenpairs against the zero-padded dense sums they replace.
 
 Every per-block result is compared with the N x N sum of rank-1 outer
-products of full length-N eigenvectors, built here from
-``EigenPair.embedded``.  Where the per-entry arithmetic is the same
+products of full length-N eigenvectors, the columns of the direct sum of
+each block's local eigenvectors (``support.full_vectors``).  Where the per-entry arithmetic is the same
 (the same products added in the same order, only exact zeros skipped) the
 results must be bitwise equal; where a length-N dot product became a
 length-w one, they may differ in the last bit.
@@ -21,12 +21,14 @@ from ptsym import (
     c_expectations,
     ccs_inner,
     completeness,
+    direct_sum,
     full_spectrum,
     mat_inverse,
     max_abs,
     reconstruct,
 )
 from support import (
+    full_vectors,
     random_level,
     random_unbroken_block,
     random_unbroken_spec,
@@ -36,9 +38,9 @@ from support import (
 
 def dense_sum(spectra, n, term):
     out = np.zeros((n, n), dtype=np.complex128)
-    for bs in spectra:
-        for pair in bs.pairs:
-            out += term(pair, pair.embedded(n))
+    pairs = [pair for bs in spectra for pair in bs.pairs]
+    for pair, vec in zip(pairs, full_vectors(spectra), strict=True):
+        out += term(pair, vec)
     return out
 
 
@@ -66,7 +68,7 @@ def test_outer_product_sums_bitwise_equal_to_padded_sums():
 def test_pairings_match_padded_pairings():
     for spec, spectra in random_systems(302):
         n = spec.dimension
-        vecs = [p.embedded(n) for bs in spectra for p in bs.pairs]
+        vecs = full_vectors(spectra)
         gram = np.array([[ccs_inner(u, v) for v in vecs] for u in vecs])
         assert max_abs(bilinear_gram(spectra) - gram) <= 1e-15
 
@@ -74,17 +76,6 @@ def test_pairings_match_padded_pairings():
         got = [value for _, value in c_expectations(spectra, c)]
         expected = [ccs_inner(v, c @ v) for v in vecs]
         assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-15
-
-
-def test_embedded_places_local_entries_at_offset():
-    rng = np.random.default_rng(303)
-    spec = HamiltonianSpec([random_level(rng), random_unbroken_block(rng), random_level(rng)])
-    spectra = full_spectrum(spec)
-    assert [p.offset for bs in spectra for p in bs.pairs] == [0, 1, 1, 3]
-    plus = spectra[1].pairs[0]
-    full = plus.embedded(4)
-    assert np.array_equal(full[1:3], plus.vector)
-    assert full[0] == 0 and full[3] == 0
 
 
 def test_eigenvector_storage_is_linear_in_N():
@@ -97,28 +88,40 @@ def test_eigenvector_storage_is_linear_in_N():
     assert stored <= 32 * spec.dimension
 
 
-def test_offsets_must_tile():
+def test_spectrum_list_is_a_direct_sum_in_list_order():
     blocks = [PTBlock(r=1.0, theta=0.4, s=1.2), PTBlock(r=2.0, theta=-0.3, s=2.5), RealLevel(a=0.5)]
     spectra = full_spectrum(HamiltonianSpec(blocks))
-    c = build_C(spectra)
-    refusals = [
-        completeness,
-        reconstruct,
-        build_C,
-        bilinear_gram,
-        lambda spectra: build_P(spectra, c),
-        lambda spectra: c_expectations(spectra, c),
-    ]
-    # two one-block spectra both start at 0, so their blocks overlap
-    overlapping = [single_block_spectrum(blocks[0]), single_block_spectrum(blocks[1])]
-    # a whole system's spectra out of list order: the tiling is checked in
-    # list order, so each block's place in the sums is its place in the list
+
+    def parity(spectra):
+        return build_P(spectra, build_C(spectra))
+
+    sums = [completeness, reconstruct, build_C, bilinear_gram, parity]
+    # one-block spectra computed separately, and a whole system's spectra
+    # out of order: each block's place is its place in the list
+    concatenated = [single_block_spectrum(b) for b in blocks]
     permuted = [spectra[1], spectra[0], spectra[2]]
-    for wrong in (overlapping, permuted):
-        for refuse in refusals:
-            with pytest.raises(ValueError, match="tile"):
-                refuse(wrong)
-    # an empty list tiles nothing: no N x N sum is defined
-    for refuse in refusals[:5]:
+    orders = [blocks, [blocks[1], blocks[0], blocks[2]]]
+    for listed, order in zip((concatenated, permuted), orders):
+        for total in sums:
+            blockwise = direct_sum([total([bs]) for bs in listed])
+            if total is parity:
+                # P = G^-1 C is one N x N matmul, whose last bits need not
+                # match those of the w x w ones
+                assert max_abs(total(listed) - blockwise) <= 1e-15
+            else:
+                assert np.array_equal(total(listed), blockwise)
+        got = c_expectations(listed, build_C(listed))
+        expected = [
+            (f"block{i}{label[-1]}", value)
+            for i, bs in enumerate(listed)
+            for label, value in c_expectations([bs], build_C([bs]))
+        ]
+        assert got == expected
+        # and every result is the one of the system spelled in list order
+        same = full_spectrum(HamiltonianSpec(order))
+        for total in sums:
+            assert np.array_equal(total(listed), total(same))
+    # an empty list places nothing: no N x N sum is defined
+    for total in sums:
         with pytest.raises(ValueError, match="empty block list"):
-            refuse([])
+            total([])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_unbroken_block, random_unbroken_spec, single_block_spectrum
+from support import full_vectors, random_unbroken_spec, single_block_spectrum
 
 from ptsym import (
     HamiltonianSpec,
@@ -94,7 +94,7 @@ def test_energy_expectations():
 def test_level_expectation():
     spec = HamiltonianSpec([GENERIC_BLOCK, RealLevel(a=0.35)])
     h = assemble(spec)
-    level_vec = full_spectrum(spec)[1].pairs[0].embedded(spec.dimension)
+    level_vec = full_vectors(full_spectrum(spec))[2]
     assert abs(ccs_inner(level_vec, h @ level_vec) - 0.35) < 1e-15
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from support import (
     eig2_oracle,
+    full_vectors,
     random_broken_block,
     random_unbroken_block,
     single_block_spectrum,
@@ -187,7 +188,7 @@ def test_full_spectrum_block_plus_level():
     assert spectra[1].phase is Phase.UNBROKEN
     assert spectra[1].phi == 0.0
     assert spectra[1].pairs[0].sign_index == 1
-    assert np.array_equal(spectra[1].pairs[0].embedded(3), [0, 0, 1])
+    assert np.array_equal(full_vectors(spectra)[2], [0, 0, 1])
 
 
 def test_full_spectrum_two_blocks():
@@ -222,19 +223,22 @@ def test_full_spectrum_embedding_residuals(rng):
         ]
     )
     h = assemble(spec)
-    for bs in full_spectrum(spec):
-        for pair in bs.pairs:
-            vec = pair.embedded(spec.dimension)
-            residual = h @ vec - pair.value * vec
-            assert np.max(np.abs(residual)) < 1e-12 * max(1.0, max_abs(h))
+    spectra = full_spectrum(spec)
+    pairs = [pair for bs in spectra for pair in bs.pairs]
+    for pair, vec in zip(pairs, full_vectors(spectra), strict=True):
+        residual = h @ vec - pair.value * vec
+        assert np.max(np.abs(residual)) < 1e-12 * max(1.0, max_abs(h))
 
 
 def test_full_spectrum_vectors_vanish_outside_block():
     spec = HamiltonianSpec([PTBlock(r=1.0, theta=0.4, s=1.2), RealLevel(a=2.0)])
     spectra = full_spectrum(spec)
-    for pair in spectra[0].pairs:
-        assert pair.embedded(3)[2] == 0
-    assert np.array_equal(spectra[1].pairs[0].embedded(3), [0, 0, 1])
+    # each pair stores only its own block's entries
+    assert [p.vector.shape for bs in spectra for p in bs.pairs] == [(2,), (2,), (1,)]
+    vecs = full_vectors(spectra)
+    for vec in vecs[:2]:
+        assert vec[2] == 0
+    assert np.array_equal(vecs[2], [0, 0, 1])
 
 
 def test_full_spectrum_strict_raises_with_block_name():

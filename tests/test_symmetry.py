@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from support import (
+    full_vectors,
     pattern_C,
     pattern_P,
     random_broken_block,
@@ -267,11 +268,11 @@ def test_c_expectations_are_sign_indices(rng):
     )
     _, spectra, c, _ = operators_for(spec)
     results = c_expectations(spectra, c)
-    pairs = [(bs.block_id, p) for bs in spectra for p in bs.pairs]
+    pairs = [(i, p) for i, bs in enumerate(spectra) for p in bs.pairs]
     assert len(results) == len(pairs)
-    for (label, value), (block_id, pair) in zip(results, pairs):
+    for (label, value), (i, pair) in zip(results, pairs):
         assert abs(value - pair.sign_index) < 1e-12
-        assert label == f"block{block_id}{'+' if pair.sign_index > 0 else '-'}"
+        assert label == f"block{i}{'+' if pair.sign_index > 0 else '-'}"
 
 
 def test_c_expectations_refuse_broken_blocks():
@@ -280,6 +281,14 @@ def test_c_expectations_refuse_broken_blocks():
     )
     with pytest.raises(NotUnbrokenError, match="block 1 is broken"):
         c_expectations(full_spectrum(spec), np.eye(4))
+
+
+def test_c_expectations_need_one_row_of_C_per_eigenpair():
+    spectra = full_spectrum(HamiltonianSpec([PTBlock(r=1.0, theta=0.4, s=1.2), RealLevel(a=0.5)]))
+    assert len(c_expectations(spectra, build_C(spectra))) == 3
+    for wrong in (np.eye(4), np.eye(2)):
+        with pytest.raises(ValueError, match=r"C is (\d)x\1, expected 3x3 for 3 eigenpairs"):
+            c_expectations(spectra, wrong)
 
 
 def test_trace_counts_levels(rng):
@@ -303,9 +312,8 @@ def test_cfrac_depth_one_eigen_action():
     _, spectra, c, _ = operators_for(GENERIC_SPEC)
     f = cfrac_F(c, 2.0, 1)
     pairs = [p for bs in spectra for p in bs.pairs]
-    for pair in pairs:
+    for pair, vec in zip(pairs, full_vectors(spectra), strict=True):
         expected = (1.0 / 3.0) if pair.sign_index > 0 else -1.0
-        vec = pair.embedded(GENERIC_SPEC.dimension)
         residual = f @ vec - expected * vec
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -322,9 +330,8 @@ def test_cfrac_matches_scalar_oracle_across_depths():
     pairs = [p for bs in spectra for p in bs.pairs]
     for depth in range(1, 12):
         f = cfrac_F(c, 2.0, depth)
-        for pair in pairs:
+        for pair, vec in zip(pairs, full_vectors(spectra), strict=True):
             expected = scalar_cfrac_oracle(float(pair.sign_index), 2.0, depth)
-            vec = pair.embedded(GENERIC_SPEC.dimension)
             residual = f @ vec - expected * vec
             assert np.max(np.abs(residual)) < 1e-10
 

@@ -70,7 +70,10 @@ def test_each_block_is_classified_once(tracer, modules, tmp_path, command):
 )
 def test_operators_builds_P_only_when_printed(tracer, modules, tmp_path, which, p_builds):
     calls = traced_calls(tracer, modules, tmp_path, "operators", *which)
-    assert calls["symmetry.build_C"] == 1
+    # T alone needs neither the spectrum nor C
+    c_builds = 0 if which == ("--which", "T") else 1
+    assert calls["spectra.full_spectrum"] == c_builds
+    assert calls["symmetry.build_C"] == c_builds
     assert calls["symmetry.build_P"] == p_builds
     # the Gram inversion inside build_P is the command's only inversion
     assert calls["linalg.mat_inverse"] == p_builds
